@@ -16,8 +16,7 @@ from .errors import (
 )
 from .model import (
     ProblemSpec,
-    TrigMatrixPoly,
-    TrigVectorPoly,
+    TrigPoly,
     load_problem,
     parse_problem,
     serialize_problem,
@@ -26,8 +25,7 @@ from .spectral import KernelData, averaged_matrix, compute_kernel_data
 from .expansion import AsymptoticExpansion, ExpansionLevel, expand, ode_residual, partial_sum
 from .bounds import BoundsReport, ConvergenceConstants, check_growth, constants, normalize
 from .averaging import (
-    MatrixSeries,
-    ScalarSeries,
+    Series,
     StabilityVerdict,
     analyze_stability,
     char_poly_series,
@@ -52,9 +50,8 @@ __all__ = [
     "ConvergenceConstants",
     "ExpansionLevel",
     "FloquetVerdict",
-    "MatrixSeries",
     "PeriodicOracleSolution",
-    "ScalarSeries",
+    "Series",
     "SlopeReport",
     "StabilityVerdict",
     "analyze_stability",
@@ -84,8 +81,7 @@ __all__ = [
     "ProblemSpec",
     "SchemaError",
     "StepFailure",
-    "TrigMatrixPoly",
-    "TrigVectorPoly",
+    "TrigPoly",
     "averaged_matrix",
     "compute_kernel_data",
     "load_problem",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRealError
-from .model import ProblemSpec, TrigMatrixPoly
+from .model import ProblemSpec, TrigPoly
 
 # Relative floor below which a series coefficient counts as zero.
 ZERO_TOL = 1e-9
@@ -34,162 +34,103 @@ DEFAULT_TRUNC = 6
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarSeries:
-    """Truncated power series in 1/omega: coeffs[q] multiplies omega^{-q}.
+class Series:
+    """Truncated power series in 1/omega with array values.
 
+    ``coeffs`` has shape (trunc+1, *shape): ``coeffs[q]`` multiplies
+    omega^{-q} and is a number for shape () or a matrix for shape (n, n).
     Arithmetic truncates to the shorter operand and never reads beyond it,
     so truncating operands first and truncating the result agree.
     """
 
-    coeffs: tuple
+    coeffs: np.ndarray
+
+    # Make numpy arrays and scalars defer to the reflected operators below.
+    __array_ufunc__ = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if not self.coeffs:
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim == 0 or len(coeffs) == 0:
             raise ValueError("series needs at least the constant coefficient")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def constant(cls, value, trunc: int) -> "ScalarSeries":
-        return cls((complex(value),) + (0j,) * trunc)
+    def constant(cls, value, trunc: int) -> "Series":
+        value = np.asarray(value, dtype=complex)
+        coeffs = np.zeros((trunc + 1,) + value.shape, dtype=complex)
+        coeffs[0] = value
+        return cls(coeffs)
 
     @property
     def trunc(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, q: int) -> complex:
+    def coeff(self, q: int):
         return self.coeffs[q]
 
-    def truncated(self, trunc: int) -> "ScalarSeries":
+    def truncated(self, trunc: int) -> "Series":
         if trunc >= self.trunc:
             return self
-        return ScalarSeries(self.coeffs[: trunc + 1])
+        return Series(self.coeffs[: trunc + 1])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.coeffs.any()
 
-    def __add__(self, other: "ScalarSeries") -> "ScalarSeries":
+    def __add__(self, other: "Series") -> "Series":
         k = min(self.trunc, other.trunc)
-        return ScalarSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
-        )
+        return Series(self.coeffs[: k + 1] + other.coeffs[: k + 1])
 
-    def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "ScalarSeries":
-        return ScalarSeries(tuple(-c for c in self.coeffs))
+    def __sub__(self, other: "Series") -> "Series":
+        k = min(self.trunc, other.trunc)
+        return Series(self.coeffs[: k + 1] - other.coeffs[: k + 1])
 
     def __mul__(self, other):
-        if isinstance(other, ScalarSeries):
+        """Product of scalar series, or scaling by a number."""
+        if isinstance(other, Series):
             k = min(self.trunc, other.trunc)
-            out = [0j] * (k + 1)
-            for q in range(k + 1):
-                out[q] = sum(self.coeffs[i] * other.coeffs[q - i] for i in range(q + 1))
-            return ScalarSeries(tuple(out))
-        return ScalarSeries(tuple(complex(other) * c for c in self.coeffs))
+            return Series(np.convolve(self.coeffs, other.coeffs)[: k + 1])
+        return Series(complex(other) * self.coeffs)
 
     __rmul__ = __mul__
 
-    def __call__(self, omega: float) -> complex:
-        return sum(c * float(omega) ** (-q) for q, c in enumerate(self.coeffs))
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixSeries:
-    """Matrix-valued truncated power series in 1/omega."""
-
-    coeffs: tuple  # of (n, n) complex arrays
-
-    def __post_init__(self):
-        mats = tuple(np.array(c, dtype=complex) for c in self.coeffs)
-        if not mats:
-            raise ValueError("series needs at least the constant coefficient")
-        n = mats[0].shape[0]
-        for M in mats:
-            if M.shape != (n, n):
-                raise ValueError("all coefficients must be square of one size")
-            M.setflags(write=False)
-        object.__setattr__(self, "coeffs", mats)
-
-    @classmethod
-    def identity(cls, n: int, trunc: int) -> "MatrixSeries":
-        return cls((np.eye(n),) + tuple(np.zeros((n, n)) for _ in range(trunc)))
-
-    @classmethod
-    def from_scalar(cls, s: ScalarSeries, n: int) -> "MatrixSeries":
-        return cls(tuple(c * np.eye(n) for c in s.coeffs))
-
-    @property
-    def n(self) -> int:
-        return self.coeffs[0].shape[0]
-
-    @property
-    def trunc(self) -> int:
-        return len(self.coeffs) - 1
-
-    def matrix(self, q: int) -> np.ndarray:
-        return self.coeffs[q]
-
-    def truncated(self, trunc: int) -> "MatrixSeries":
-        if trunc >= self.trunc:
-            return self
-        return MatrixSeries(self.coeffs[: trunc + 1])
-
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
+    def __matmul__(self, other: "Series") -> "Series":
+        """Product of matrix series: sum_{i<=q} A_i B_{q-i} at order q."""
         k = min(self.trunc, other.trunc)
-        return MatrixSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: k + 1], other.coeffs[: k + 1]))
-        )
+        a, b = self.coeffs, other.coeffs
+        out = a[0] @ b[: k + 1]
+        for i in range(1, k + 1):
+            out[i:] += a[i] @ b[: k + 1 - i]
+        return Series(out)
 
-    def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return self + other.scaled(-1.0)
+    def trace(self) -> "Series":
+        return Series(np.trace(self.coeffs, axis1=-2, axis2=-1))
 
-    def scaled(self, factor) -> "MatrixSeries":
-        return MatrixSeries(tuple(factor * c for c in self.coeffs))
-
-    def __matmul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        k = min(self.trunc, other.trunc)
-        out = []
-        for q in range(k + 1):
-            acc = np.zeros((self.n, self.n), dtype=complex)
-            for i in range(q + 1):
-                acc += self.coeffs[i] @ other.coeffs[q - i]
-            out.append(acc)
-        return MatrixSeries(tuple(out))
-
-    def trace(self) -> ScalarSeries:
-        return ScalarSeries(tuple(np.trace(c) for c in self.coeffs))
-
-    def __call__(self, omega: float) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for q, c in enumerate(self.coeffs):
-            out += float(omega) ** (-q) * c
-        return out
+    def __call__(self, omega: float):
+        powers = float(omega) ** -np.arange(self.trunc + 1)
+        return np.tensordot(powers, self.coeffs, axes=1)[()]
 
 
 def kb_transform(spec: ProblemSpec, trunc: int):
     """Averaged-matrix series and the transformation terms U_1..U_trunc."""
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
-    n = spec.n
-    stationary = TrigMatrixPoly(n, {0: spec.A0}) + spec.osc_matrix()
-    B0_poly = TrigMatrixPoly(n, {0: spec.B0})
-    U = [TrigMatrixPoly(n, {0: np.eye(n)})]
+    stationary = spec.osc_matrix() + spec.A0
+    U = [TrigPoly.constant(np.eye(spec.n))]
     A_list = []
     for k in range(trunc + 1):
         G = stationary @ U[k]
         if k >= 1:
-            G = G + B0_poly @ U[k - 1]
+            G = G + spec.B0 @ U[k - 1]
         for j in range(1, k + 1):
-            G = G + U[j] @ TrigMatrixPoly(n, {0: -A_list[k - j]})
-        Ak = G.mean()
-        A_list.append(Ak)
+            G = G - U[j] @ A_list[k - j]
+        A_list.append(G.mean())
         if k < trunc:
-            U.append((G + TrigMatrixPoly(n, {0: -Ak})).antiderivative())
-    return MatrixSeries(tuple(A_list)), U[1:]
+            U.append((G - G.mean()).antiderivative())
+    return Series(A_list), U[1:]
 
 
-def formal_average(spec: ProblemSpec, trunc: int = DEFAULT_TRUNC) -> MatrixSeries:
+def formal_average(spec: ProblemSpec, trunc: int = DEFAULT_TRUNC) -> Series:
     """Series A0 + A1/omega + ... + A_trunc/omega^trunc of the averaged system."""
     series, _ = kb_transform(spec, trunc)
     return series
@@ -203,38 +144,33 @@ def transform_residual(spec: ProblemSpec, omega, trunc: int, samples: int = 128)
     result scales like omega^{-trunc}.
     """
     series, U = kb_transform(spec, trunc)
-    n = spec.n
-    P = TrigMatrixPoly(n, {0: np.eye(n)})
-    dP = TrigMatrixPoly(n, {})
+    P = TrigPoly.constant(np.eye(spec.n))
     for k, Uk in enumerate(U, start=1):
-        P = P + Uk.scaled(float(omega) ** (-k))
-        dP = dP + Uk.derivative().scaled(float(omega) ** (-k))
-    A_omega = series(omega)
-    worst = 0.0
-    for tau in np.linspace(0.0, 2 * np.pi, samples, endpoint=False):
-        M = spec.system_matrix(tau, omega)
-        R = M @ P(tau) - omega * dP(tau) - P(tau) @ A_omega
-        worst = max(worst, float(np.linalg.norm(R, 2)))
-    return worst
+        P = P + float(omega) ** (-k) * Uk
+    taus = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    Pt = P(taus)
+    R = spec.system_matrix(taus, omega) @ Pt - omega * P.derivative()(taus)
+    R = R - Pt @ series(omega)
+    return float(np.max(np.linalg.norm(R, 2, axis=(-2, -1))))
 
 
-def char_poly_series(ms: MatrixSeries) -> list:
+def char_poly_series(ms: Series) -> list:
     """Coefficients alpha_1..alpha_n (as series) of det(lambda I - A(omega)).
 
     Faddeev-LeVerrier in series arithmetic: M_1 = I, c_k = -tr(A M_k)/k,
     M_{k+1} = A M_k + c_k I.  Works over any commutative ring, so the
     truncated-series coefficients are exact up to rounding.
     """
-    n = ms.n
-    trunc = ms.trunc
+    n = ms.coeffs.shape[-1]
+    eye = np.eye(n)
     alphas = []
-    M = MatrixSeries.identity(n, trunc)
+    M = Series.constant(eye, ms.trunc)
     for k in range(1, n + 1):
         AM = ms @ M
         ck = (-1.0 / k) * AM.trace()
         alphas.append(ck)
         if k < n:
-            M = AM + MatrixSeries.from_scalar(ck, n)
+            M = AM + Series(ck.coeffs[:, None, None] * eye)
     return alphas
 
 
@@ -244,42 +180,45 @@ def hurwitz_series(alphas: list, trunc: int | None = None) -> list:
     Row i, column j of the Hurwitz matrix holds alpha_{2i-j} (1-indexed),
     with alpha_0 = 1 and alpha out of range zero.  Minors are expanded
     recursively along rows with structural-zero pruning and memoization on
-    the surviving column set.
+    the surviving column set.  The recursion multiplies the coefficient
+    arrays as ``Series.__mul__`` does; wrapping every intermediate product
+    in a ``Series`` made it twice as slow.
     """
     n = len(alphas)
     if trunc is None:
         trunc = min(a.trunc for a in alphas)
-    one = ScalarSeries.constant(1.0, trunc)
-    zero = ScalarSeries.constant(0.0, trunc)
+    one = Series.constant(1.0, trunc).coeffs
+    zero = Series.constant(0.0, trunc).coeffs
     table = {0: one}
     for idx, a in enumerate(alphas, start=1):
-        table[idx] = a.truncated(trunc)
+        table[idx] = a.truncated(trunc).coeffs
 
-    def entry(i: int, j: int) -> ScalarSeries:  # 1-indexed
+    def entry(i: int, j: int) -> np.ndarray:  # 1-indexed
         return table.get(2 * i - j, zero)
 
     minors = []
     for size in range(1, n + 1):
         memo = {}
 
-        def det(cols: tuple) -> ScalarSeries:
+        def det(cols: tuple) -> np.ndarray:
             if not cols:
                 return one
             if cols in memo:
                 return memo[cols]
             row = size - len(cols) + 1
             acc = zero
-            sign = 1.0
             for pos, c in enumerate(cols):
                 e = entry(row, c)
-                if not e.is_zero():
-                    rest = cols[:pos] + cols[pos + 1 :]
-                    acc = acc + sign * (e * det(rest))
-                sign = -sign
+                if e.any():
+                    term = np.convolve(e, det(cols[:pos] + cols[pos + 1 :]))[: trunc + 1]
+                    acc = acc - term if pos % 2 else acc + term
             memo[cols] = acc
             return acc
 
-        minors.append(det(tuple(range(1, size + 1))))
+        minors.append(Series(det(tuple(range(1, size + 1)))))
+        # det refers to itself, so only the cycle collector would free memo;
+        # arrays do not count towards that collector's thresholds.
+        memo.clear()
     return minors
 
 
@@ -310,15 +249,10 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
     worst_imag = 0.0
     for mnr in minors:
         coeffs = mnr.coeffs[: trunc + 1]
-        scale = max((abs(c) for c in coeffs), default=0.0)
-        worst_imag = max(worst_imag, max((abs(c.imag) for c in coeffs), default=0.0))
-        threshold = zero_tol * max(scale, 1.0)
-        leader = None
-        for q, c in enumerate(coeffs):
-            if abs(c) > threshold:
-                leader = (q, c.real)
-                break
-        leaders.append(leader)
+        worst_imag = max(worst_imag, float(np.max(np.abs(coeffs.imag))))
+        threshold = zero_tol * max(float(np.max(np.abs(coeffs))), 1.0)
+        big = np.flatnonzero(np.abs(coeffs) > threshold)
+        leaders.append((int(big[0]), float(coeffs[big[0]].real)) if len(big) else None)
     if worst_imag > 1e-6:
         raise NotRealError(
             f"Hurwitz minors have imaginary parts up to {worst_imag:.3e}; "

@@ -7,25 +7,33 @@ The periodic solution is expanded as
 
 where every v_k lies in ker(A0) (v_k = sum_j C_k^j a_j), every x_k is
 orthogonal to ker(A0), and every y_k is a zero-mean trigonometric
-polynomial with harmonics up to (k+1) m.  Matching powers of omega in the
-equation gives, at order omega^{-p},
+polynomial in the phase tau = omega t.  Put u_k = x_k + v_k + y_k,
+u_{-1} = v_{-1}, u_{-2} = 0 and M(tau) = A0 + B_osc(tau).  Since
+d/dt = omega d/dtau, matching powers of omega in x' = (M + B0/omega) x + d
+gives
 
-    mean part:        A0 x_p + A1 v_{p-1} + theta_p = 0,
-    oscillating part: y_{p+1}' = (A0 + B_osc) y_p + B0 (y_{p-1} + ...)
-                                 + B_osc (x_p + v_p) + ...,
+    y_{k+1}' = M u_k + B0 u_{k-1} + delta_{k0} d,
 
-with theta_p = B0 x_{p-1} + sum_{1<=|l|<=m} B_{-l} beta_l^p and beta^p the
-part of y_p not proportional to v_{p-1}.  The mean equation is solvable
-exactly when its projection on ker(A0^H) vanishes; that fixes C_{p-1}
-through the solvability matrix, after which x_p = -W (A1 v_{p-1} +
-theta_p).  So each sweep p first assembles beta^p from level p-1 data,
-then closes level p-1 by solving for C_{p-1}, then opens level p.
+whose mean must vanish.  Split y_p = beta_p + D^{-1}(B_osc v_{p-1}), with
+D^{-1} the zero-mean antiderivative in tau and osc[.] the part without the
+mean.  The part generated by v_{p-1} is set apart because v_{p-1} is only
+fixed by the mean equation that beta_p feeds.  Sweep p >= 1 then reads
 
-Bookkeeping note: beta^p collects, per harmonic l, seven kinds of
-contributions from the integrated oscillating part (plus the forcing
-harmonics, which enter only at p = 1).  Division by i*l is the zero-mean
-antiderivative in the phase variable; crossed products of B harmonics
-convolve indices and skip l1 + l2 = 0, whose mean went into theta instead.
+    beta_p  = D^{-1} osc[M (x_{p-1} + y_{p-1}) + B0 y_{p-2} + delta_{p1} d],
+    theta_p = B0 x_{p-1} + mean(B_osc beta_p),
+    0       = A0 x_p + A1 v_{p-1} + theta_p,
+    y_p     = beta_p + D^{-1}(B_osc v_{p-1}),
+
+starting from theta_0 = d_0, y_{-1} = 0 and y_0 = D^{-1}(B_osc v_{-1}).
+The mean equation is solvable exactly when its projection on ker(A0^H)
+vanishes; that fixes C_{p-1} through the solvability matrix, after which
+x_p = -W (A1 v_{p-1} + theta_p).  So each sweep closes level p-1 and opens
+level p.
+
+Every step is ``TrigPoly`` arithmetic.  The arrays of level p hold the
+harmonics |l| <= (p+1) m at most, a bound set by p and the data and never
+by the requested order, so a longer expansion repeats a shorter one bit for
+bit.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ProblemSpec, TrigVectorPoly
+from .model import ProblemSpec, TrigPoly
 from .spectral import KernelData, compute_kernel_data
 
 
@@ -54,8 +62,8 @@ class ExpansionLevel:
 
     mean: np.ndarray
     kernel_coeff: np.ndarray
-    osc: TrigVectorPoly
-    harmonics: TrigVectorPoly
+    osc: TrigPoly
+    harmonics: TrigPoly
     forcing: np.ndarray
     harmonic_mass: float
     solvability_defect: float
@@ -86,101 +94,47 @@ def expand(
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
-    n, m = spec.n, spec.m
-    A0, B0, B = spec.A0, spec.B0, spec.B
-    A1 = kd.averaged
     kernel, left = kd.kernel, kd.left_kernel
-    W = kd.restricted_inverse
+    B_osc = spec.osc_matrix()
+    M = B_osc + spec.A0
 
     def close_level(theta):
         """Solve the mean equation: C from solvability, then the x part."""
         coeff = np.linalg.solve(kd.solvability, -(left.conj().T @ theta))
         v = kernel @ coeff
-        g = A1 @ v + theta
+        g = kd.averaged @ v + theta
         defect = float(np.max(np.abs(left.conj().T @ g)))
-        return coeff, v, -(W @ g), defect
+        return coeff, v, -(kd.restricted_inverse @ g), defect
 
-    theta0 = spec.d0.astype(complex)
-    c_lead, v_prev, x0, lead_defect = close_level(theta0)
-
-    xs = {0: x0}
-    vs = {-1: v_prev}
-    betas = {0: {}}
-    thetas = {0: theta0}
-    mus = {0: 0.0}
-    ys = {0: {l: (Bl @ v_prev) / (1j * l) for l, Bl in B.items()}}
-    coeffs = {-1: c_lead}
-    defects = {-1: lead_defect}
-
-    zero = np.zeros(n, dtype=complex)
+    theta = spec.d0.astype(complex)
+    leading, v, x, lead_defect = close_level(theta)
+    beta = y_prev = TrigPoly.constant(np.zeros(spec.n))
+    y = (B_osc @ v).antiderivative()
+    levels = []
     for p in range(1, order + 2):
-        beta = {}
-
-        def add(l, vec):
-            beta[l] = beta.get(l, zero) + vec
-
-        x_prev = xs[p - 1]
-        v2 = vs.get(p - 2, zero)  # v_{p-2}; v_{-1} exists, earlier ones vanish
-        v3 = vs.get(p - 3, zero)
-        for l, Bl in B.items():
-            add(l, (Bl @ x_prev) / (1j * l))
-            add(l, -(A0 @ (Bl @ v2)) / l**2)
-            add(l, -(B0 @ (Bl @ v3)) / l**2)
-        for l, b in betas[p - 1].items():
-            add(l, (A0 @ b) / (1j * l))
-        for l, b in betas.get(p - 2, {}).items():
-            add(l, (B0 @ b) / (1j * l))
-        for l1, B1 in B.items():
-            Bv = B1 @ v2
-            for l2, B2 in B.items():
-                l = l1 + l2
-                if l != 0:
-                    add(l, -(B2 @ Bv) / (l * l1))
-        for l1, b in betas[p - 1].items():
-            for l2, B2 in B.items():
-                l = l1 + l2
-                if l != 0:
-                    add(l, (B2 @ b) / (1j * l))
+        g = M @ (y + x) + spec.B0 @ y_prev
         if p == 1:
-            for l, dl in spec.d.items():
-                if l != 0:
-                    add(l, dl / (1j * l))
-
-        theta = B0 @ x_prev
-        for l, b in beta.items():
-            Bminus = B.get(-l)
-            if Bminus is not None:
-                theta = theta + Bminus @ b
-
-        coeff, v, x, defect = close_level(theta)
-        coeffs[p - 1] = coeff
-        defects[p - 1] = defect
-        vs[p - 1] = v
-        xs[p] = x
-        betas[p] = beta
-        thetas[p] = theta
-        mus[p] = float(sum(np.linalg.norm(b) for b in beta.values()))
-        y = {l: (Bl @ v) / (1j * l) for l, Bl in B.items()}
-        for l, b in beta.items():
-            y[l] = y.get(l, zero) + b
-        ys[p] = y
-
-    levels = [
-        ExpansionLevel(
-            mean=xs[k],
-            kernel_coeff=coeffs[k],
-            osc=TrigVectorPoly(n, ys[k]),
-            harmonics=TrigVectorPoly(n, betas[k]),
-            forcing=thetas[k],
-            harmonic_mass=mus[k],
-            solvability_defect=defects[k],
+            g = g + spec.forcing_poly()
+        beta_p = (g - g.mean()).antiderivative()
+        theta_p = spec.B0 @ x + (B_osc @ beta_p).mean()
+        coeff, v, x_p, defect = close_level(theta_p)
+        levels.append(
+            ExpansionLevel(
+                mean=x,
+                kernel_coeff=coeff,
+                osc=y,
+                harmonics=beta,
+                forcing=theta,
+                harmonic_mass=float(np.sum(np.linalg.norm(beta.data, axis=-1))),
+                solvability_defect=defect,
+            )
         )
-        for k in range(order + 1)
-    ]
+        y_prev, y = y, beta_p + (B_osc @ v).antiderivative()
+        x, beta, theta = x_p, beta_p, theta_p
     return AsymptoticExpansion(
         order=order,
-        m=m,
-        leading=c_lead,
+        m=spec.m,
+        leading=leading,
         leading_defect=lead_defect,
         levels=levels,
         kernel_data=kd,
@@ -221,13 +175,10 @@ def ode_residual(
     if not 0 <= r <= exp.order:
         raise ValueError(f"r must be in [0, {exp.order}], got {r}")
     taus = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    t = taus / omega
-    S = partial_sum(exp, r, omega, t)
-    dS = np.zeros_like(S)
-    for k, lev in enumerate(exp.levels[: r + 1]):
-        dS += float(omega) ** (1 - k) * lev.osc.derivative()(taus)
-    worst = 0.0
-    for i, tau in enumerate(taus):
-        rhs = spec.system_matrix(tau, omega) @ S[i] + spec.forcing(tau)
-        worst = max(worst, float(np.linalg.norm(dS[i] - rhs)))
-    return worst
+    S = partial_sum(exp, r, omega, taus / omega)
+    dS = sum(
+        float(omega) ** (1 - k) * lev.osc.derivative()(taus)
+        for k, lev in enumerate(exp.levels[: r + 1])
+    )
+    rhs = (spec.system_matrix(taus, omega) @ S[..., None])[..., 0] + spec.forcing(taus)
+    return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

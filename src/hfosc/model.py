@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,124 +45,137 @@ def _clean_coeffs(coeffs, shape):
     return clean
 
 
-@dataclass(frozen=True, eq=False)
-class TrigVectorPoly:
-    """Vector-valued trigonometric polynomial sum_l c_l e^{i l tau}."""
+def _matmul(a, b, vector: bool):
+    """Matrix product of coefficient stacks; ``vector`` when b holds vectors."""
+    return np.matmul(a, b[..., None])[..., 0] if vector else np.matmul(a, b)
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
+
+@dataclass(frozen=True, eq=False)
+class TrigPoly:
+    """Trigonometric polynomial sum_{|l|<=H} c_l e^{i l tau} with array values.
+
+    ``data`` has shape (2H+1, *shape): ``data[H + l]`` is c_l, a vector for
+    shape (n,) and a matrix for shape (n, n).  Zero coefficients are stored
+    like any other, so H is a bound on the harmonics, not the degree.
+    """
+
+    data: np.ndarray
+
+    # Make numpy arrays defer to the reflected operators below.
+    __array_ufunc__ = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean_coeffs(self.coeffs, (self.n,)))
+        data = _freeze(self.data)
+        if data.ndim < 2 or data.shape[0] % 2 == 0:
+            raise ValueError(f"expected shape (2H+1, *shape), got {data.shape}")
+        object.__setattr__(self, "data", data)
+
+    @classmethod
+    def constant(cls, value) -> "TrigPoly":
+        return cls(np.asarray(value, dtype=complex)[None])
+
+    @classmethod
+    def from_coeffs(cls, coeffs: dict, shape: tuple) -> "TrigPoly":
+        """Build from a harmonic -> coefficient map of the given value shape."""
+        H = max((abs(l) for l in coeffs), default=0)
+        data = np.zeros((2 * H + 1,) + tuple(shape), dtype=complex)
+        for l, c in coeffs.items():
+            data[H + l] = c
+        return cls(data)
+
+    @property
+    def H(self) -> int:
+        return self.data.shape[0] // 2
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape[1:]
+
+    @property
+    def coeffs(self) -> dict:
+        """Harmonic -> coefficient for every nonzero coefficient."""
+        H = self.H
+        return {i - H: c for i, c in enumerate(self.data) if np.any(c)}
+
+    @cached_property
+    def _rates(self) -> np.ndarray:
+        """i l for each row; cached because the integrators evaluate often."""
+        return 1j * np.arange(-self.H, self.H + 1)
 
     def __call__(self, tau):
-        """Evaluate at phase tau (scalar or array); trailing axis is the vector."""
+        """Evaluate at phase(s) tau; the value axes follow the axes of tau."""
         tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape + (self.n,), dtype=complex)
-        for l, c in self.coeffs.items():
-            out += np.exp(1j * l * tau)[..., None] * c
-        return out
+        phases = np.exp(tau[..., None] * self._rates)
+        flat = phases @ self.data.reshape(len(self.data), -1)
+        return flat.reshape(tau.shape + self.shape)
 
     def mean(self) -> np.ndarray:
-        return self.coeffs.get(0, np.zeros(self.n, dtype=complex))
+        return self.data[self.H]
 
     def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
+        return tuple(self.coeffs)
 
-    def derivative(self) -> "TrigVectorPoly":
-        return TrigVectorPoly(self.n, {l: 1j * l * c for l, c in self.coeffs.items()})
+    def _column(self, factors: np.ndarray) -> np.ndarray:
+        """One factor per row, shaped to broadcast against ``data``."""
+        return factors.reshape((-1,) + (1,) * len(self.shape))
 
-    def antiderivative(self) -> "TrigVectorPoly":
+    def derivative(self) -> "TrigPoly":
+        return TrigPoly(self._column(self._rates) * self.data)
+
+    def antiderivative(self) -> "TrigPoly":
         """Zero-mean antiderivative; defined only for zero-mean polynomials."""
-        if 0 in self.coeffs:
+        if np.any(self.mean()):
             raise ValueError("antiderivative needs a zero-mean polynomial")
-        return TrigVectorPoly(self.n, {l: c / (1j * l) for l, c in self.coeffs.items()})
+        rates = self._rates.copy()
+        rates[self.H] = 1.0
+        return TrigPoly(self.data / self._column(rates))
 
-    def __add__(self, other: "TrigVectorPoly") -> "TrigVectorPoly":
-        merged = {l: np.array(c) for l, c in self.coeffs.items()}
-        for l, c in other.coeffs.items():
-            merged[l] = merged.get(l, 0) + c
-        return TrigVectorPoly(self.n, merged)
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigVectorPoly):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.coeffs.keys() == other.coeffs.keys()
-            and all(np.array_equal(c, other.coeffs[l]) for l, c in self.coeffs.items())
-        )
-
-    __hash__ = None
-
-
-@dataclass(frozen=True, eq=False)
-class TrigMatrixPoly:
-    """Matrix-valued trigonometric polynomial sum_l M_l e^{i l tau}."""
-
-    n: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean_coeffs(self.coeffs, (self.n, self.n)))
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape + (self.n, self.n), dtype=complex)
-        for l, c in self.coeffs.items():
-            out += np.exp(1j * l * tau)[..., None, None] * c
+    def padded(self, H: int) -> np.ndarray:
+        """Coefficient stack widened with zero rows to the bound H >= self.H."""
+        out = np.zeros((2 * H + 1,) + self.shape, dtype=complex)
+        out[H - self.H : H + self.H + 1] = self.data
         return out
 
-    def mean(self) -> np.ndarray:
-        return self.coeffs.get(0, np.zeros((self.n, self.n), dtype=complex))
+    def __add__(self, other) -> "TrigPoly":
+        if not isinstance(other, TrigPoly):
+            other = TrigPoly.constant(other)
+        H = max(self.H, other.H)
+        out = self.padded(H)
+        out[H - other.H : H + other.H + 1] += other.data
+        return TrigPoly(out)
 
-    def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
+    def __sub__(self, other) -> "TrigPoly":
+        return self + (-1.0) * other
 
-    def derivative(self) -> "TrigMatrixPoly":
-        return TrigMatrixPoly(self.n, {l: 1j * l * c for l, c in self.coeffs.items()})
+    def __mul__(self, factor) -> "TrigPoly":
+        return TrigPoly(factor * self.data)
 
-    def antiderivative(self) -> "TrigMatrixPoly":
-        if 0 in self.coeffs:
-            raise ValueError("antiderivative needs a zero-mean polynomial")
-        return TrigMatrixPoly(self.n, {l: c / (1j * l) for l, c in self.coeffs.items()})
+    __rmul__ = __mul__
 
-    def __add__(self, other: "TrigMatrixPoly") -> "TrigMatrixPoly":
-        merged = {l: np.array(c) for l, c in self.coeffs.items()}
-        for l, c in other.coeffs.items():
-            merged[l] = merged.get(l, 0) + c
-        return TrigMatrixPoly(self.n, merged)
+    def __matmul__(self, other) -> "TrigPoly":
+        """Pointwise matrix product; harmonic indices convolve."""
+        if not isinstance(other, TrigPoly):
+            other = TrigPoly.constant(other)
+        a, b = self.data, other.data
+        vector = len(other.shape) == 1
+        out = np.zeros((len(a) + len(b) - 1,) + other.shape, dtype=complex)
+        if len(a) <= len(b):
+            for i, c in enumerate(a):
+                out[i : i + len(b)] += _matmul(c, b, vector)
+        else:
+            for j, c in enumerate(b):
+                out[j : j + len(a)] += _matmul(a, c, vector)
+        return TrigPoly(out)
 
-    def __sub__(self, other: "TrigMatrixPoly") -> "TrigMatrixPoly":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor) -> "TrigMatrixPoly":
-        return TrigMatrixPoly(self.n, {l: factor * c for l, c in self.coeffs.items()})
-
-    def __matmul__(self, other: "TrigMatrixPoly") -> "TrigMatrixPoly":
-        """Pointwise product; harmonic indices convolve."""
-        prod = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in other.coeffs.items():
-                l = l1 + l2
-                prod[l] = prod.get(l, 0) + c1 @ c2
-        return TrigMatrixPoly(self.n, prod)
-
-    def apply(self, vec: TrigVectorPoly) -> TrigVectorPoly:
-        prod = {}
-        for l1, c1 in self.coeffs.items():
-            for l2, c2 in vec.coeffs.items():
-                l = l1 + l2
-                prod[l] = prod.get(l, 0) + c1 @ c2
-        return TrigVectorPoly(self.n, prod)
+    def __rmatmul__(self, other) -> "TrigPoly":
+        return TrigPoly.constant(other) @ self
 
     def __eq__(self, other):
-        if not isinstance(other, TrigMatrixPoly):
+        if not isinstance(other, TrigPoly):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.coeffs.keys() == other.coeffs.keys()
-            and all(np.array_equal(c, other.coeffs[l]) for l, c in self.coeffs.items())
+        H = max(self.H, other.H)
+        return self.shape == other.shape and np.array_equal(
+            self.padded(H), other.padded(H)
         )
 
     __hash__ = None
@@ -184,6 +198,8 @@ class ProblemSpec:
     B: dict = field(default_factory=dict)
     d: dict = field(default_factory=dict)
     real_mode: bool = True
+    _matrix: TrigPoly = field(init=False, repr=False)  # A0 + sum B_l e^{i l tau}
+    _forcing: TrigPoly = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -215,10 +231,18 @@ class ProblemSpec:
         for l in d:
             if abs(l) > m:
                 raise SchemaError(f"d harmonic {l} outside |l| <= {m}")
+        blocks = [("A0", A0), ("B0", B0)]
+        blocks += [(f"B[{l}]", c) for l, c in B.items()]
+        blocks += [(f"d[{l}]", c) for l, c in d.items()]
+        for name, arr in blocks:
+            if not np.all(np.isfinite(arr)):
+                raise SchemaError(f"{name} has non-finite entries")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "d", d)
         if self.real_mode:
             _check_real_symmetry(A0, B0, B, d)
+        object.__setattr__(self, "_matrix", TrigPoly.from_coeffs({**B, 0: A0}, (n, n)))
+        object.__setattr__(self, "_forcing", TrigPoly.from_coeffs(d, (n,)))
 
     # -- convenience views ------------------------------------------------
 
@@ -226,27 +250,24 @@ class ProblemSpec:
     def d0(self) -> np.ndarray:
         return self.d.get(0, np.zeros(self.n, dtype=complex))
 
-    def osc_matrix(self) -> TrigMatrixPoly:
+    def osc_matrix(self) -> TrigPoly:
         """The oscillating part sum_{l != 0} B_l e^{i l tau}."""
-        return TrigMatrixPoly(self.n, dict(self.B))
+        return TrigPoly.from_coeffs(self.B, (self.n, self.n))
 
-    def forcing_poly(self) -> TrigVectorPoly:
+    def forcing_poly(self) -> TrigPoly:
         """The full forcing d_0 + sum_{l != 0} d_l e^{i l tau}."""
-        return TrigVectorPoly(self.n, dict(self.d))
+        return self._forcing
 
     def system_matrix(self, tau, omega) -> np.ndarray:
-        """A0 + B0/omega + sum B_l e^{i l tau} at a single phase tau."""
-        M = self.A0 + self.B0 / omega
-        for l, c in self.B.items():
-            M = M + np.exp(1j * l * tau) * c
+        """A0 + B0/omega + sum B_l e^{i l tau} at phase(s) tau; the matrix
+        axes follow the axes of tau."""
+        M = self._matrix(tau)
+        M += self.B0 / omega  # in place: on a phase grid M is the big array
         return M
 
     def forcing(self, tau) -> np.ndarray:
-        f = self.d0.astype(complex)
-        for l, c in self.d.items():
-            if l != 0:
-                f = f + np.exp(1j * l * tau) * c
-        return f
+        """d_0 + sum d_l e^{i l tau} at phase(s) tau."""
+        return self._forcing(tau)
 
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):

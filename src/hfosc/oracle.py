@@ -32,6 +32,11 @@ UNIT_BAND = 1e-8
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 
 
+def _check_omega(omega) -> None:
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+
+
 def _rhs(spec: ProblemSpec, omega: float):
     def fun(t, y):
         tau = omega * t
@@ -61,6 +66,7 @@ def _solve(spec, omega, y0, t0, t1, tol, fun=None, dense=False):
 
 def integrate(spec: ProblemSpec, omega, x0, t0, t1, tol: float = INTEGRATOR_TOL):
     """State at t1 of the solution through (t0, x0)."""
+    _check_omega(omega)
     if t1 == t0:
         return np.asarray(x0, dtype=complex)
     return _solve(spec, omega, x0, t0, t1, tol).y[:, -1]
@@ -68,6 +74,7 @@ def integrate(spec: ProblemSpec, omega, x0, t0, t1, tol: float = INTEGRATOR_TOL)
 
 def monodromy(spec: ProblemSpec, omega, tol: float = INTEGRATOR_TOL) -> np.ndarray:
     """Period map Phi(T), T = 2 pi / omega, from the matrix equation."""
+    _check_omega(omega)
     Phi, _ = _transition_and_forced(spec, omega, tol)
     return Phi
 
@@ -130,6 +137,7 @@ def periodic_solution(
     Raises NonUniqueError when the period map has 1 as an eigenvalue to
     working precision, i.e. sigma_min(I - Phi) <= 1e-10.
     """
+    _check_omega(omega)
     n = spec.n
     T = 2 * np.pi / omega
     Phi, forced = _transition_and_forced(spec, omega, tol)
@@ -255,6 +263,10 @@ def error_slope(
     omegas = tuple(float(w) for w in omegas)
     if len(omegas) < 2:
         raise ValueError("need at least two omega values for a slope")
+    if len(set(omegas)) < len(omegas):
+        raise ValueError(f"omega values must be distinct, got {omegas}")
+    for w in omegas:
+        _check_omega(w)
     errors = []
     scale = 1.0
     for w in omegas:

@@ -123,7 +123,7 @@ def test_criterion_3_averaging_route_consistency(record_criterion):
                 gap = float(
                     np.max(
                         np.abs(
-                            formal_average(spec, 1).matrix(1) - averaged_matrix(spec)
+                            formal_average(spec, 1).coeff(1) - averaged_matrix(spec)
                         )
                     )
                 )

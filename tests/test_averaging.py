@@ -1,11 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hfosc import fixtures
 from hfosc.averaging import (
     DEFAULT_TRUNC,
-    MatrixSeries,
-    ScalarSeries,
+    Series,
     analyze_stability,
     char_poly_series,
     classify,
@@ -20,7 +22,7 @@ from hfosc.spectral import averaged_matrix
 
 
 def _random_scalar_series(rng, trunc):
-    return ScalarSeries(tuple(rng.standard_normal(trunc + 1)))
+    return Series(rng.standard_normal(trunc + 1))
 
 
 def test_scalar_series_arithmetic():
@@ -42,12 +44,12 @@ def test_scalar_series_arithmetic():
     omega = 7.0
     want = sum(a.coeff(q) * omega ** (-q) for q in range(6))
     assert a(omega) == pytest.approx(want)
-    assert ScalarSeries.constant(0.0, 4).is_zero()
+    assert Series.constant(0.0, 4).is_zero()
     assert not a.is_zero()
     assert a.truncated(2).trunc == 2
     assert a.truncated(9) is a
     with pytest.raises(ValueError):
-        ScalarSeries(())
+        Series(())
 
 
 def test_series_truncation_commutes_with_multiplication():
@@ -66,25 +68,26 @@ def test_matrix_series_arithmetic():
     rng = np.random.default_rng(2)
     A = tuple(rng.standard_normal((3, 3)) for _ in range(4))
     B = tuple(rng.standard_normal((3, 3)) for _ in range(4))
-    ma, mb = MatrixSeries(A), MatrixSeries(B)
+    ma, mb = Series(A), Series(B)
     prod = ma @ mb
     for q in range(4):
         want = sum(A[i] @ B[q - i] for i in range(q + 1))
-        assert np.allclose(prod.matrix(q), want, atol=1e-13)
+        assert np.allclose(prod.coeff(q), want, atol=1e-13)
     tr = ma.trace()
     for q in range(4):
         assert tr.coeff(q) == pytest.approx(np.trace(A[q]))
     omega = 11.0
     want = sum(omega ** (-q) * A[q] for q in range(4))
     assert np.allclose(ma(omega), want, atol=1e-13)
-    ident = MatrixSeries.identity(3, 3)
+    ident = Series.constant(np.eye(3), 3)
     same = ident @ ma
     for q in range(4):
-        assert np.allclose(same.matrix(q), A[q], atol=1e-14)
+        assert np.allclose(same.coeff(q), A[q], atol=1e-14)
+    # All coefficients share one shape.
     with pytest.raises(ValueError):
-        MatrixSeries((np.zeros((2, 3)),))
+        Series((np.zeros((2, 2)), np.zeros((3, 3))))
     with pytest.raises(ValueError):
-        MatrixSeries(())
+        Series(np.zeros((0, 3, 3)))
 
 
 def test_transform_first_terms_match_hand_formulas():
@@ -94,8 +97,8 @@ def test_transform_first_terms_match_hand_formulas():
         assert len(U) == 3
         # Order 0: the stationary matrix itself; order 1: the averaged matrix
         # that the kernel-geometry route computes independently.
-        assert np.allclose(series.matrix(0), spec.A0, atol=1e-14)
-        assert np.allclose(series.matrix(1), averaged_matrix(spec), atol=1e-13)
+        assert np.allclose(series.coeff(0), spec.A0, atol=1e-14)
+        assert np.allclose(series.coeff(1), averaged_matrix(spec), atol=1e-13)
         # U_1 is the zero-mean antiderivative of the oscillating part.
         want = spec.osc_matrix().antiderivative()
         assert U[0] == want
@@ -126,7 +129,7 @@ def test_char_poly_matches_numpy_for_constant_series():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         A = rng.standard_normal((n, n))
-        alphas = char_poly_series(MatrixSeries((A,)))
+        alphas = char_poly_series(Series((A,)))
         want = np.poly(A)  # [1, c_1, ..., c_n]
         for k, a in enumerate(alphas, start=1):
             assert a.coeff(0) == pytest.approx(want[k], abs=1e-10)
@@ -135,7 +138,7 @@ def test_char_poly_matches_numpy_for_constant_series():
 def test_char_poly_series_converges_to_pointwise_numpy():
     rng = np.random.default_rng(4)
     coeffs = tuple(0.5 * rng.standard_normal((3, 3)) for _ in range(4))
-    ms = MatrixSeries(coeffs)
+    ms = Series(coeffs)
     alphas = char_poly_series(ms)
     omegas = np.array([40.0, 80.0, 160.0])
     errs = []
@@ -163,7 +166,7 @@ def test_hurwitz_minors_match_numpy_determinants():
     for n in range(2, 7):
         for _ in range(5):
             c = rng.standard_normal(n)
-            alphas = [ScalarSeries.constant(v, 2) for v in c]
+            alphas = [Series.constant(v, 2) for v in c]
             minors = hurwitz_series(alphas)
             H = _hurwitz_matrix(c)
             for k in range(1, n + 1):
@@ -172,6 +175,25 @@ def test_hurwitz_minors_match_numpy_determinants():
                 # Padding orders stay exactly zero for constant input.
                 assert minors[k - 1].coeff(1) == 0
                 assert minors[k - 1].coeff(2) == 0
+
+
+def test_hurwitz_series_frees_its_memo():
+    # The memoized recursion must not leave its table to the cycle
+    # collector: in a long run that collector may not come round for a
+    # long time, and the tables pile up.
+    rng = np.random.default_rng(6)
+    alphas = [Series(rng.standard_normal(7)) for _ in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        tracemalloc.start()
+        minors = hurwitz_series(alphas)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+    finally:
+        gc.enable()
+    assert len(minors) == 10
+    assert retained < 50_000, retained
 
 
 def test_borderline_series_anchor():
@@ -184,10 +206,10 @@ def test_borderline_series_anchor():
         (fixtures.borderline_unstable(), -1.0),
     ):
         series = formal_average(spec, trunc=6)
-        assert np.allclose(series.matrix(0), spec.A0, atol=1e-14)
-        assert np.allclose(series.matrix(1), spec.B0, atol=1e-14)
+        assert np.allclose(series.coeff(0), spec.A0, atol=1e-14)
+        assert np.allclose(series.coeff(1), spec.B0, atol=1e-14)
         for q in range(2, 7):
-            assert np.allclose(series.matrix(q), 0.0, atol=1e-13)
+            assert np.allclose(series.coeff(q), 0.0, atol=1e-13)
         alphas = char_poly_series(series)
         want = {0: (1.0, 0.0, 0.0), 2: (0.0, second_sign, second_sign)}
         for q in range(7):
@@ -219,9 +241,9 @@ def test_simple_systems_classify_by_sign():
 
 
 def test_classification_priority_and_threshold():
-    one = ScalarSeries.constant(1.0, 4)
-    vanished = ScalarSeries((0.0, 1e-15, 0.0, 0.0, 0.0))
-    negative = ScalarSeries((0.0, -2.0, 0.0, 0.0, 0.0))
+    one = Series.constant(1.0, 4)
+    vanished = Series((0.0, 1e-15, 0.0, 0.0, 0.0))
+    negative = Series((0.0, -2.0, 0.0, 0.0, 0.0))
     # A negative leader dominates a vanished minor.
     verdict = classify([one, vanished, negative])
     assert verdict.kind == "Unstable"
@@ -232,7 +254,7 @@ def test_classification_priority_and_threshold():
     assert classify([one, one * one]).kind == "Stable"
     # The zero threshold is relative to the largest coefficient; a stray
     # 1e-4 next to a 1e6 entry counts as zero at tolerance 1e-9.
-    lopsided = ScalarSeries((0.0, 1e-4, 1e6, 0.0, 0.0))
+    lopsided = Series((0.0, 1e-4, 1e6, 0.0, 0.0))
     verdict = classify([one, lopsided])
     assert verdict.leaders[1] == (2, pytest.approx(1e6))
     # At a tighter tolerance the same coefficient is a genuine leader.
@@ -242,7 +264,7 @@ def test_classification_priority_and_threshold():
 
 def test_classify_rejects_complex_minors():
     with pytest.raises(NotRealError):
-        classify([ScalarSeries((1.0, 1e-3j))])
+        classify([Series((1.0, 1e-3j))])
 
 
 def test_analyze_stability_rejects_complex_specs():

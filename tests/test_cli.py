@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,7 +11,18 @@ from hfosc import fixtures
 from hfosc.cli import main
 from hfosc.model import ProblemSpec, serialize_problem
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def _run_module(*argv, timeout=None):
+    """``python -m hfosc.cli`` in a fresh process that imports this checkout."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-m", "hfosc.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
 
 
 def _write(tmp_path, spec, name="problem.json"):
@@ -230,9 +242,63 @@ def test_reports_are_deterministic(capsys):
 
 def test_module_entry_point_runs():
     path = str(FIXTURES / "borderline_stable.json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hfosc.cli", "analyze", path],
-        capture_output=True, text=True,
-    )
+    proc = _run_module("analyze", path)
     assert proc.returncode == 0
     assert "zero eigenvalue multiplicity: 2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--omega", "0"],
+        ["validate", "--omega", "inf"],
+        ["validate", "--omega", "nan"],
+        ["expand", "--order", "-1"],
+        ["stability", "--trunc", "0"],
+        ["stability", "--zero-tol", "-1"],
+        ["stability", "--rank-tol", "0.9"],
+        ["slope", "--omegas", "100,nan"],
+        ["slope", "--omegas", "100,100"],
+        ["slope", "--omegas", "100"],
+        ["evaluate", "--samples", "0"],
+        ["evaluate", "--omega", "-100"],
+        ["evaluate", "--omega", "nan"],
+        ["analyze", "--rank-tol", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_arguments_exit_one(argv):
+    # A fresh process with a timeout: some of these used to hang.
+    path = str(FIXTURES / "random_n3_m1.json")
+    proc = _run_module(argv[0], path, *argv[1:], timeout=60)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_non_finite_document_exits_one(tmp_path, capsys):
+    doc = serialize_problem(fixtures.borderline_stable())
+    doc["A0"][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def _report(capsys, *argv):
+    main(list(argv))
+    return capsys.readouterr().out
+
+
+def test_rank_tol_reaches_every_kernel(capsys):
+    path = str(FIXTURES / "random_n3_m1.json")
+    wide = ("--rank-tol", "0.9")  # also cuts sigma = 0.5: kernel dim 2, not 1
+    for argv in (("evaluate", path), ("slope", path, "--order", "0", "--omegas", "60,120")):
+        assert _report(capsys, *argv) != _report(capsys, *argv, *wide)
+    # The normalized problem's kernel, behind L and omega0, follows the flag too.
+    base = json.loads(_report(capsys, "analyze", path, "--format", "json"))
+    cut = json.loads(_report(capsys, "analyze", path, "--format", "json", *wide))
+    assert cut["L"] != base["L"]
+    first = _report(capsys, "validate", path).splitlines()[0]
+    assert first != _report(capsys, "validate", path, *wide).splitlines()[0]

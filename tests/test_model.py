@@ -7,8 +7,7 @@ from hfosc import fixtures
 from hfosc.errors import ConjugacyError, SchemaError
 from hfosc.model import (
     ProblemSpec,
-    TrigMatrixPoly,
-    TrigVectorPoly,
+    TrigPoly,
     parse_problem,
     serialize_problem,
 )
@@ -104,6 +103,25 @@ def test_parse_rejects_malformed_documents(mutate):
         parse_problem(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda d, x: d["A0"][0].__setitem__(0, x),
+        lambda d, x: d["B0"][1].__setitem__(1, x),
+        lambda d, x: [d["B"][k][0].__setitem__(1, x) for k in ("1", "-1")],
+        lambda d, x: d["d"]["0"].__setitem__(0, x),
+    ],
+    ids=["A0", "B0", "B", "d"],
+)
+def test_parse_rejects_non_finite_entries(place, bad):
+    doc = _base_doc()
+    place(doc, bad)
+    # JSON accepts NaN and Infinity, so the document may arrive as text.
+    with pytest.raises(SchemaError, match="non-finite"):
+        parse_problem(json.loads(json.dumps(doc)))
+
+
 def test_complex_mode_requires_pairs():
     doc = _base_doc()
     doc["real_mode"] = False
@@ -186,8 +204,8 @@ def test_spec_arrays_are_read_only():
 
 
 def _random_vec_poly(rng, n=3, harmonics=(-2, -1, 1, 3)):
-    return TrigVectorPoly(
-        n, {l: rng.standard_normal(n) + 1j * rng.standard_normal(n) for l in harmonics}
+    return TrigPoly.from_coeffs(
+        {l: rng.standard_normal(n) + 1j * rng.standard_normal(n) for l in harmonics}, (n,)
     )
 
 
@@ -213,7 +231,7 @@ def test_vector_poly_derivative_inverts_antiderivative():
 
 
 def test_antiderivative_rejects_nonzero_mean():
-    poly = TrigVectorPoly(2, {0: [1.0, 0.0], 1: [0.0, 1.0]})
+    poly = TrigPoly.from_coeffs({0: [1.0, 0.0], 1: [0.0, 1.0]}, (2,))
     with pytest.raises(ValueError):
         poly.antiderivative()
 
@@ -221,27 +239,29 @@ def test_antiderivative_rejects_nonzero_mean():
 def test_matrix_poly_product_matches_pointwise_values():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        a = TrigMatrixPoly(
-            2, {l: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                for l in (-1, 0, 2)}
+        a = TrigPoly.from_coeffs(
+            {l: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+             for l in (-1, 0, 2)}, (2, 2)
         )
-        b = TrigMatrixPoly(
-            2, {l: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                for l in (-2, 1)}
+        b = TrigPoly.from_coeffs(
+            {l: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+             for l in (-2, 1)}, (2, 2)
         )
         taus = rng.uniform(0, 2 * np.pi, size=5)
         prod = a @ b
         for tau in taus:
             assert np.allclose(prod(tau), a(tau) @ b(tau), atol=1e-12)
         v = _random_vec_poly(rng, n=2, harmonics=(-1, 0, 1))
-        applied = a.apply(v)
+        applied = a @ v
         for tau in taus:
             assert np.allclose(applied(tau), a(tau) @ v(tau), atol=1e-12)
 
 
 def test_matrix_poly_mean_picks_the_zero_harmonic():
     rng = np.random.default_rng(3)
-    a = TrigMatrixPoly(2, {0: rng.standard_normal((2, 2)), 3: rng.standard_normal((2, 2))})
+    a = TrigPoly.from_coeffs(
+        {0: rng.standard_normal((2, 2)), 3: rng.standard_normal((2, 2))}, (2, 2)
+    )
     grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     quad = np.mean([a(t) for t in grid], axis=0)
     assert np.allclose(a.mean(), quad, atol=1e-13)
@@ -259,3 +279,30 @@ def test_system_matrix_and_forcing():
     unforced = fixtures.borderline_stable()
     assert np.array_equal(unforced.forcing(tau), np.zeros(3))
     assert np.array_equal(unforced.d0, np.zeros(3))
+
+
+def test_system_matrix_and_forcing_accept_phase_arrays():
+    spec = fixtures.random_admissible(2, n=3, m=2, s=1)
+    omega = 55.0
+    taus = np.linspace(0.0, 2 * np.pi, 12).reshape(3, 4)
+    M = spec.system_matrix(taus, omega)
+    f = spec.forcing(taus)
+    assert M.shape == (3, 4, 3, 3) and f.shape == (3, 4, 3)
+    for idx in np.ndindex(taus.shape):
+        assert np.allclose(M[idx], spec.system_matrix(taus[idx], omega), atol=1e-14)
+        assert np.allclose(f[idx], spec.forcing(taus[idx]), atol=1e-14)
+
+
+def test_poly_arithmetic_is_blind_to_zero_padding():
+    rng = np.random.default_rng(8)
+    a = _random_vec_poly(rng, harmonics=(-1, 1))
+    wide = TrigPoly(a.padded(4))
+    assert wide == a and wide.H == 4 and wide.coeffs.keys() == a.coeffs.keys()
+    b = _random_vec_poly(rng)
+    c = np.arange(3.0)
+    taus = rng.uniform(0, 2 * np.pi, size=5)
+    assert np.allclose((wide + b)(taus), a(taus) + b(taus), atol=1e-13)
+    assert np.allclose((b - wide)(taus), b(taus) - a(taus), atol=1e-13)
+    assert np.allclose((a + c)(taus), a(taus) + c, atol=1e-13)
+    assert np.allclose((2.5 * a)(taus), 2.5 * a(taus), atol=1e-13)
+    assert a != b and a - a == TrigPoly.constant(np.zeros(3))

@@ -100,9 +100,12 @@ def test_real_systems_give_conjugate_multipliers():
     ps = periodic_solution(spec, 60.0, n_samples=32)
     assert float(np.max(np.abs(ps.monodromy.imag))) < 1e-9
     assert float(np.max(np.abs(ps.x.imag))) < 1e-9 * float(np.max(np.abs(ps.x)))
-    mult = ps.multipliers
-    paired = np.sort_complex(np.conj(mult))
-    assert np.allclose(np.sort_complex(mult), paired, atol=1e-9)
+    # Pair each multiplier with its nearest unused conjugate; sorting both
+    # lists would pair wrongly when a pair's real parts differ by rounding.
+    partners = list(np.conj(ps.multipliers))
+    for z in ps.multipliers:
+        k = int(np.argmin(np.abs(np.array(partners) - z)))
+        assert np.isclose(partners.pop(k), z, atol=1e-9)
 
 
 def test_floquet_separates_the_borderline_pair():
@@ -157,3 +160,19 @@ def test_error_slope_needs_two_frequencies():
     exp = expand(spec, order=1)
     with pytest.raises(ValueError):
         error_slope(spec, exp, 1, (100.0,))
+    for omegas in ((100.0, 100.0), (100.0, math.nan), (100.0, -200.0), (0.0, 100.0)):
+        with pytest.raises(ValueError):
+            error_slope(spec, exp, 1, omegas)
+
+
+@pytest.mark.parametrize("omega", [0, 0.0, -1.0, math.inf, math.nan])
+def test_integrators_need_a_positive_finite_frequency(omega):
+    spec = fixtures.random_admissible(seed=1, n=3, m=1)
+    for call in (
+        lambda: integrate(spec, omega, np.zeros(3), 0.0, 1.0),
+        lambda: monodromy(spec, omega),
+        lambda: periodic_solution(spec, omega),
+        lambda: floquet_verdict(spec, omega),
+    ):
+        with pytest.raises(ValueError, match="omega"):
+            call()
