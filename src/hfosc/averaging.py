@@ -249,14 +249,16 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
     worst_imag = 0.0
     for mnr in minors:
         coeffs = mnr.coeffs[: trunc + 1]
-        worst_imag = max(worst_imag, float(np.max(np.abs(coeffs.imag))))
-        threshold = zero_tol * max(float(np.max(np.abs(coeffs))), 1.0)
-        big = np.flatnonzero(np.abs(coeffs) > threshold)
+        scale = max(float(np.max(np.abs(coeffs))), 1.0)
+        # Relative to the minor's size: its coefficients reach 1e12 and more
+        # for n >= 9, where rounding alone leaves imaginary parts above 1e-6.
+        worst_imag = max(worst_imag, float(np.max(np.abs(coeffs.imag))) / scale)
+        big = np.flatnonzero(np.abs(coeffs) > zero_tol * scale)
         leaders.append((int(big[0]), float(coeffs[big[0]].real)) if len(big) else None)
     if worst_imag > 1e-6:
         raise NotRealError(
-            f"Hurwitz minors have imaginary parts up to {worst_imag:.3e}; "
-            f"the sign test needs a real system"
+            f"Hurwitz minors have imaginary parts up to {worst_imag:.3e} of their "
+            f"largest coefficient; the sign test needs a real system"
         )
     kind = "Stable"
     for j, leader in enumerate(leaders, start=1):

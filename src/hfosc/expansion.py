@@ -180,5 +180,6 @@ def ode_residual(
         float(omega) ** (1 - k) * lev.osc.derivative()(taus)
         for k, lev in enumerate(exp.levels[: r + 1])
     )
-    rhs = (spec.system_matrix(taus, omega) @ S[..., None])[..., 0] + spec.forcing(taus)
+    F = spec.field(taus, omega)
+    rhs = (F[..., : spec.n] @ S[..., None])[..., 0] + F[..., spec.n]
     return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

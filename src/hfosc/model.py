@@ -12,9 +12,9 @@ expansions, bounds, averaging, the reference integrator) consumes the
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,16 +33,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _clean_coeffs(coeffs, shape):
-    """Coerce a harmonic->array map to complex, drop exact zeros, freeze."""
-    clean = {}
-    for l, c in coeffs.items():
-        arr = np.asarray(c, dtype=complex)
-        if arr.shape != shape:
-            raise ValueError(f"harmonic {l}: expected shape {shape}, got {arr.shape}")
+def _checked(value, shape, name):
+    """Frozen complex copy of value after checking its shape and finiteness."""
+    arr = _freeze(value)
+    if arr.shape != shape:
+        raise SchemaError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name} has non-finite entries")
+    return arr
+
+
+def _checked_harmonics(coeffs, shape, name, low, m):
+    """Checked harmonic -> coefficient map for low <= |l| <= m, exact zeros
+    dropped (after the checks, so a zero block out of range is rejected)."""
+    out = {}
+    for key, c in coeffs.items():
+        try:
+            l = int(key)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{name} harmonic {key!r} is not an integer") from None
+        if not low <= abs(l) <= m:
+            raise SchemaError(f"{name} harmonic {l} outside {low} <= |l| <= {m}")
+        arr = _checked(c, shape, f"{name}[{l}]")
         if np.any(arr):
-            clean[int(l)] = _freeze(arr)
-    return clean
+            out[l] = arr
+    return out
 
 
 def _matmul(a, b, vector: bool):
@@ -195,54 +210,39 @@ class ProblemSpec:
     m: int
     A0: np.ndarray
     B0: np.ndarray
-    B: dict = field(default_factory=dict)
-    d: dict = field(default_factory=dict)
+    B: dict = dataclasses.field(default_factory=dict)
+    d: dict = dataclasses.field(default_factory=dict)
     real_mode: bool = True
-    _matrix: TrigPoly = field(init=False, repr=False)  # A0 + sum B_l e^{i l tau}
-    _forcing: TrigPoly = field(init=False, repr=False)
+    # [A0 + sum B_l e^{i l tau} | sum d_l e^{i l tau}], shape (n, n + 1)
+    _stack: TrigPoly = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-            m = operator.index(self.m)
-        except TypeError:
-            raise SchemaError("n and m must be integers") from None
+        if not isinstance(self.real_mode, bool):
+            raise SchemaError(f"real_mode must be a boolean, got {self.real_mode!r}")
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            for v in (self.n, self.m)
+        ):
+            raise SchemaError(f"n and m must be integers, got {self.n!r}, {self.m!r}")
+        n, m = int(self.n), int(self.m)
         if n < 1:
             raise SchemaError(f"n must be a positive integer, got {n!r}")
         if m < 0:
             raise SchemaError(f"m must be a nonnegative integer, got {m!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        A0 = np.asarray(self.A0, dtype=complex)
-        B0 = np.asarray(self.B0, dtype=complex)
-        for name, mat in (("A0", A0), ("B0", B0)):
-            if mat.shape != (n, n):
-                raise SchemaError(f"{name} must be {n}x{n}, got shape {mat.shape}")
-        object.__setattr__(self, "A0", _freeze(A0))
-        object.__setattr__(self, "B0", _freeze(B0))
-        try:
-            B = _clean_coeffs(self.B, (n, n))
-            d = _clean_coeffs(self.d, (n,))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
-        for l in B:
-            if l == 0 or abs(l) > m:
-                raise SchemaError(f"B harmonic {l} outside 1 <= |l| <= {m}")
-        for l in d:
-            if abs(l) > m:
-                raise SchemaError(f"d harmonic {l} outside |l| <= {m}")
-        blocks = [("A0", A0), ("B0", B0)]
-        blocks += [(f"B[{l}]", c) for l, c in B.items()]
-        blocks += [(f"d[{l}]", c) for l, c in d.items()]
-        for name, arr in blocks:
-            if not np.all(np.isfinite(arr)):
-                raise SchemaError(f"{name} has non-finite entries")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "d", d)
+        A0 = _checked(self.A0, (n, n), "A0")
+        B0 = _checked(self.B0, (n, n), "B0")
+        B = _checked_harmonics(self.B, (n, n), "B", 1, m)
+        d = _checked_harmonics(self.d, (n,), "d", 0, m)
         if self.real_mode:
             _check_real_symmetry(A0, B0, B, d)
-        object.__setattr__(self, "_matrix", TrigPoly.from_coeffs({**B, 0: A0}, (n, n)))
-        object.__setattr__(self, "_forcing", TrigPoly.from_coeffs(d, (n,)))
+        matrix = TrigPoly.from_coeffs({**B, 0: A0}, (n, n))
+        forcing = TrigPoly.from_coeffs(d, (n,))
+        H = max(matrix.H, forcing.H)
+        stack = np.concatenate([matrix.padded(H), forcing.padded(H)[..., None]], -1)
+        checked = dict(n=n, m=m, A0=A0, B0=B0, B=B, d=d)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_stack", TrigPoly(stack))
 
     # -- convenience views ------------------------------------------------
 
@@ -256,18 +256,26 @@ class ProblemSpec:
 
     def forcing_poly(self) -> TrigPoly:
         """The full forcing d_0 + sum_{l != 0} d_l e^{i l tau}."""
-        return self._forcing
+        return TrigPoly(self._stack.data[..., self.n])
+
+    def field(self, tau, omega) -> np.ndarray:
+        """The right side [M(tau) + B0/omega | f(tau)] at phase(s) tau.
+
+        Columns 0..n-1 hold the system matrix A0 + B0/omega + sum B_l
+        e^{i l tau}, column n the forcing d_0 + sum d_l e^{i l tau}, so that
+        x' = F[:, :n] x + F[:, n].  The matrix axes follow the axes of tau.
+        """
+        F = self._stack(tau)
+        F[..., : self.n] += self.B0 / omega  # in place: on a phase grid F is big
+        return F
 
     def system_matrix(self, tau, omega) -> np.ndarray:
-        """A0 + B0/omega + sum B_l e^{i l tau} at phase(s) tau; the matrix
-        axes follow the axes of tau."""
-        M = self._matrix(tau)
-        M += self.B0 / omega  # in place: on a phase grid M is the big array
-        return M
+        """A0 + B0/omega + sum B_l e^{i l tau}: the matrix columns of ``field``."""
+        return self.field(tau, omega)[..., : self.n]
 
     def forcing(self, tau) -> np.ndarray:
-        """d_0 + sum d_l e^{i l tau} at phase(s) tau."""
-        return self._forcing(tau)
+        """d_0 + sum d_l e^{i l tau}: the last column of ``field``."""
+        return self._stack(tau)[..., self.n]
 
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):
@@ -321,26 +329,25 @@ def _parse_entry(value, real_mode, where):
     raise SchemaError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-def _parse_matrix(rows, n, real_mode, where):
-    if not isinstance(rows, list) or len(rows) != n:
-        raise SchemaError(f"{where}: expected {n} rows")
-    out = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{where}[{i}]: expected {n} entries")
-        for j, v in enumerate(row):
-            out[i, j] = _parse_entry(v, real_mode, f"{where}[{i}][{j}]")
-    return out
-
-def _parse_vector(entries, n, real_mode, where):
-    if not isinstance(entries, list) or len(entries) != n:
-        raise SchemaError(f"{where}: expected {n} entries")
+def _parse_vector(entries, real_mode, where):
+    if not isinstance(entries, list):
+        raise SchemaError(f"{where}: expected a list of entries")
     return np.array(
-        [_parse_entry(v, real_mode, f"{where}[{j}]") for j, v in enumerate(entries)]
+        [_parse_entry(v, real_mode, f"{where}[{j}]") for j, v in enumerate(entries)],
+        dtype=complex,
     )
 
 
-def _parse_indexed(block, n, real_mode, where, parse_value, allow_zero):
+def _parse_matrix(rows, real_mode, where):
+    if not isinstance(rows, list):
+        raise SchemaError(f"{where}: expected a list of rows")
+    out = [_parse_vector(row, real_mode, f"{where}[{i}]") for i, row in enumerate(rows)]
+    if len({len(row) for row in out}) > 1:
+        raise SchemaError(f"{where}: rows of unequal length")
+    return np.array(out, dtype=complex)
+
+
+def _parse_indexed(block, real_mode, where, parse_value):
     if not isinstance(block, dict):
         raise SchemaError(f"{where}: expected an object with harmonic-index keys")
     out = {}
@@ -351,9 +358,7 @@ def _parse_indexed(block, n, real_mode, where, parse_value, allow_zero):
             raise SchemaError(f"{where}: key {key!r} is not an integer") from None
         if not isinstance(key, str) or str(l) != key:
             raise SchemaError(f"{where}: key {key!r} is not a canonical integer string")
-        if l == 0 and not allow_zero:
-            raise SchemaError(f"{where}: harmonic 0 is not allowed here")
-        out[l] = parse_value(value, n, real_mode, f"{where}[{key!r}]")
+        out[l] = parse_value(value, real_mode, f"{where}[{key!r}]")
     return out
 
 
@@ -362,7 +367,9 @@ def parse_problem(doc) -> ProblemSpec:
 
     Raises SchemaError for structural problems and ConjugacyError when a
     real_mode document breaks conjugate symmetry.  An optional "meta" field
-    is tolerated and ignored; any other unknown field is rejected.
+    is tolerated and ignored; any other unknown field is rejected.  This
+    only converts the entries; ProblemSpec checks n, m, real_mode, shapes
+    and harmonic ranges.
     """
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be a JSON object")
@@ -372,18 +379,16 @@ def parse_problem(doc) -> ProblemSpec:
     missing = [f for f in _DOC_FIELDS if f not in doc]
     if missing:
         raise SchemaError(f"missing fields: {missing}")
-    n, m, real_mode = doc["n"], doc["m"], doc["real_mode"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SchemaError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise SchemaError(f"m must be a nonnegative integer, got {m!r}")
-    if not isinstance(real_mode, bool):
-        raise SchemaError(f"real_mode must be a boolean, got {real_mode!r}")
-    A0 = _parse_matrix(doc["A0"], n, real_mode, "A0")
-    B0 = _parse_matrix(doc["B0"], n, real_mode, "B0")
-    B = _parse_indexed(doc["B"], n, real_mode, "B", _parse_matrix, allow_zero=False)
-    d = _parse_indexed(doc["d"], n, real_mode, "d", _parse_vector, allow_zero=True)
-    return ProblemSpec(n=n, m=m, A0=A0, B0=B0, B=B, d=d, real_mode=real_mode)
+    real_mode = doc["real_mode"]
+    return ProblemSpec(
+        n=doc["n"],
+        m=doc["m"],
+        A0=_parse_matrix(doc["A0"], real_mode, "A0"),
+        B0=_parse_matrix(doc["B0"], real_mode, "B0"),
+        B=_parse_indexed(doc["B"], real_mode, "B", _parse_matrix),
+        d=_parse_indexed(doc["d"], real_mode, "d", _parse_vector),
+        real_mode=real_mode,
+    )
 
 
 def _emit_entry(z: complex):

@@ -6,6 +6,17 @@ equation, the unique periodic solution comes from solving the fixed-point
 equation (I - Phi) x0 = v with the forced response v, and stability is
 read off the characteristic multipliers.  The expansion modules are then
 validated against these results, never the other way around.
+
+One right side serves every integration.  ``_rhs`` maps an n x k state
+block Y at time t to (M(omega t) + B0/omega) Y with the forcing f(omega t)
+added to the last column, reading all of it from a single evaluation of
+``ProblemSpec.field``.  With k = 1 the block is one trajectory: the
+solution through a given state, and the dense pass that samples the
+periodic solution.  With k = n + 1 it is the fundamental system beside the
+forced response from zero, so the period map and the forced response share
+one step sequence.  The same function takes arrays of times, which is how
+the integral-form defect of the sampled solution evaluates all Gauss nodes
+of a block of sample intervals at once.
 """
 
 from __future__ import annotations
@@ -13,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BoundaryUndecidable, NonUniqueError, StepFailure
 from .model import ProblemSpec
@@ -31,30 +41,41 @@ UNIT_BAND = 1e-8
 # Nodes for the per-interval integral-form defect of the sampled solution.
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 
+# Sample intervals whose defect nodes are evaluated together; bounds the
+# (intervals x nodes x n x (n+1)) temporaries of the batched right side.
+_DEFECT_BLOCK = 32
+
 
 def _check_omega(omega) -> None:
     if not (np.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
-def _rhs(spec: ProblemSpec, omega: float):
-    def fun(t, y):
-        tau = omega * t
-        return spec.system_matrix(tau, omega) @ y + spec.forcing(tau)
+def _rhs(t, y, spec: ProblemSpec, omega: float):
+    """Right side for y of shape (*shape(t), n k): one flattened n x k block
+    per time, mapped to (M + B0/omega) Y with f added to the last column."""
+    n = spec.n
+    F = spec.field(omega * t, omega)
+    Y = y.reshape(np.shape(t) + (n, -1))
+    out = F[..., :n] @ Y
+    out[..., -1] += F[..., n]
+    return out.reshape(y.shape)
 
-    return fun
 
+def _solve(spec, omega, y0, t0, t1, tol, dense=False):
+    # Imported here: commands that never integrate skip loading scipy.integrate.
+    from scipy.integrate import solve_ivp
 
-def _solve(spec, omega, y0, t0, t1, tol, fun=None, dense=False):
     sol = solve_ivp(
-        fun or _rhs(spec, omega),
+        _rhs,
         (t0, t1),
-        np.asarray(y0, dtype=complex),
+        np.asarray(y0, dtype=complex).reshape(-1),
         method="DOP853",
         rtol=tol,
         atol=tol,
         max_step=(2 * np.pi / omega) / 16,
         dense_output=dense,
+        args=(spec, omega),
     )
     if not sol.success:
         t_reached = float(sol.t[-1]) if len(sol.t) else t0
@@ -80,25 +101,12 @@ def monodromy(spec: ProblemSpec, omega, tol: float = INTEGRATOR_TOL) -> np.ndarr
 
 
 def _transition_and_forced(spec, omega, tol):
-    """One pass for Phi(T) and the forced response from zero.
-
-    The n x n fundamental system and the forced column ride in a single
-    augmented integration so both carry identical step sequences.
-    """
+    """One pass for Phi(T) and the forced response from zero: the state is
+    the block [I | 0], whose last column alone picks up the forcing."""
     n = spec.n
-    T = 2 * np.pi / omega
-
-    def fun(t, y):
-        Y = y.reshape(n, n + 1)
-        tau = omega * t
-        out = spec.system_matrix(tau, omega) @ Y
-        out[:, n] += spec.forcing(tau)
-        return out.reshape(-1)
-
-    y0 = np.zeros((n, n + 1), dtype=complex)
-    y0[:, :n] = np.eye(n)
-    sol = _solve(spec, omega, y0.reshape(-1), 0.0, T, tol, fun=fun)
-    YT = sol.y[:, -1].reshape(n, n + 1)
+    sol = _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega, tol)
+    # A copy: views would keep every stored step of the n (n+1) states alive.
+    YT = sol.y[:, -1].reshape(n, n + 1).copy()
     return YT[:, :n], YT[:, n]
 
 
@@ -158,17 +166,16 @@ def periodic_solution(
     x[0] = x0
     periodicity_defect = float(np.linalg.norm(sol.y[:, -1] - x0))
 
-    fun = _rhs(spec, omega)
+    mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
+    steps = np.diff(x, axis=0)
     defect = 0.0
-    for i in range(n_samples):
-        a, b = t[i], t[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes = mid + half * _GAUSS_X
-        states = sol.sol(nodes)
-        increment = half * sum(
-            w * fun(s, states[:, k]) for k, (s, w) in enumerate(zip(nodes, _GAUSS_W))
-        )
-        defect = max(defect, float(np.linalg.norm(x[i + 1] - x[i] - increment)))
+    for i in range(0, n_samples, _DEFECT_BLOCK):
+        block = slice(i, i + _DEFECT_BLOCK)
+        nodes = mids[block, None] + halves[block, None] * _GAUSS_X
+        states = sol.sol(nodes.ravel()).T.reshape(nodes.shape + (n,))
+        increments = halves[block, None] * (_GAUSS_W @ _rhs(nodes, states, spec, omega))
+        gaps = np.linalg.norm(steps[block] - increments, axis=1)
+        defect = max(defect, float(np.max(gaps)))
 
     return PeriodicOracleSolution(
         omega=float(omega),
@@ -255,8 +262,9 @@ def error_slope(
     For each omega the error is max_i |x(t_i) - S(t_i)| over the reference
     sample grid.  A clean implementation of an order-r sum gives a slope
     close to -(order + 1).  Pass precomputed ``solutions`` (omega -> sampled
-    periodic solution) to amortize the integrations across orders.  When the
-    errors sit at rounding level the slope is NaN.
+    periodic solution) to amortize the integrations across orders; a
+    frequency missing from it is integrated here.  When the errors sit at
+    rounding level the slope is NaN.
     """
     from .expansion import partial_sum
 
@@ -270,7 +278,7 @@ def error_slope(
     errors = []
     scale = 1.0
     for w in omegas:
-        ps = solutions[w] if solutions else periodic_solution(spec, w, tol=tol)
+        ps = (solutions or {}).get(w) or periodic_solution(spec, w, tol=tol)
         S = partial_sum(expansion, order, w, ps.t)
         errors.append(float(np.max(np.linalg.norm(ps.x - S, axis=1))))
         scale = max(scale, float(np.max(np.abs(ps.x))))

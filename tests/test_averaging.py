@@ -16,8 +16,10 @@ from hfosc.averaging import (
     kb_transform,
     transform_residual,
 )
+from hfosc.bounds import constants, normalize
 from hfosc.errors import NotRealError
 from hfosc.model import ProblemSpec
+from hfosc.oracle import floquet_verdict
 from hfosc.spectral import averaged_matrix
 
 
@@ -265,6 +267,28 @@ def test_classification_priority_and_threshold():
 def test_classify_rejects_complex_minors():
     with pytest.raises(NotRealError):
         classify([Series((1.0, 1e-3j))])
+
+
+def test_classify_measures_imaginary_parts_against_each_minor():
+    one = Series((1.0, 0.0))
+    # 1e5 is rounding noise next to 1e12 and must not count as complex ...
+    verdict = classify([one, Series((1e12, 1e5j, -3.0))])
+    assert verdict.leaders[1] == (0, pytest.approx(1e12))
+    # ... while the same relative size as the 1e-3j above still does.
+    with pytest.raises(NotRealError):
+        classify([one, Series((1e12, 1e9j))])
+
+
+def test_large_real_system_classifies_like_its_multipliers():
+    # The Hurwitz minors of this system reach 1e12 and more, and rounding
+    # leaves imaginary parts of order 1e-5 in them: far above 1e-6 in
+    # absolute terms, yet tiny next to the minors themselves.
+    spec = fixtures.random_admissible(seed=1, n=13, m=3, s=3)
+    verdict = analyze_stability(spec)
+    prime, scale = normalize(spec)
+    omega = 8.0 * constants(prime).K * scale
+    assert verdict.kind in ("Stable", "Unstable")
+    assert verdict.kind == floquet_verdict(spec, omega).kind
 
 
 def test_analyze_stability_rejects_complex_specs():

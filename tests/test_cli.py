@@ -15,14 +15,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
 
-def _run_module(*argv, timeout=None):
-    """``python -m hfosc.cli`` in a fresh process that imports this checkout."""
+def _run_python(*argv, timeout=None):
+    """A fresh interpreter that imports this checkout."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
-        [sys.executable, "-m", "hfosc.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
+
+
+def _run_module(*argv, timeout=None):
+    """``python -m hfosc.cli`` in a fresh process that imports this checkout."""
+    return _run_python("-m", "hfosc.cli", *argv, timeout=timeout)
 
 
 def _write(tmp_path, spec, name="problem.json"):
@@ -275,6 +280,15 @@ def test_out_of_range_arguments_exit_one(argv):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_cli_import_leaves_out_the_integrator():
+    # Only the reference solver integrates, so commands that never call it
+    # should not pay for loading scipy.integrate at start-up.
+    code = "import sys, hfosc.cli; print('scipy.integrate' in sys.modules)"
+    proc = _run_python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_non_finite_document_exits_one(tmp_path, capsys):

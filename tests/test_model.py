@@ -94,6 +94,19 @@ def test_serialization_always_emits_pairs():
         lambda d: d["B"].update({"2": [[0.1, 0.0], [0.0, 0.0]]}),
         lambda d: d["d"].update({"-2": [0.1, 0.0]}),
         lambda d: d.update(extra=1),
+        lambda d: d.update(m=True),
+        lambda d: d.update(m=1.0),
+        lambda d: d.update(real_mode="no"),
+        lambda d: d.update(real_mode=None),
+        lambda d: d.update(A0=[[0.0, 0.0], [0.0]]),
+        lambda d: d.update(A0=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        lambda d: d.update(B0=[]),
+        lambda d: d.update(B0=[0.0, 1.0]),
+        lambda d: d.update(d=[1.0, 0.0]),
+        lambda d: d["d"].update({"0": [1.0]}),
+        lambda d: d["d"].update({"0": 1.0}),
+        lambda d: d["B"].update({"1": [[0.0, 0.1]]}),
+        lambda d: d["B"].update({"-1": [[0.0, 0.1, 0.0], [0.0, 0.0, 0.0]]}),
     ],
 )
 def test_parse_rejects_malformed_documents(mutate):
@@ -120,6 +133,34 @@ def test_parse_rejects_non_finite_entries(place, bad):
     # JSON accepts NaN and Infinity, so the document may arrive as text.
     with pytest.raises(SchemaError, match="non-finite"):
         parse_problem(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(real_mode="no"),
+        dict(real_mode=1),
+        dict(n=True, m=False),
+        dict(m=True),
+        dict(n=1.0),
+        dict(n=0),
+        dict(m=-1),
+        dict(A0=[[0.0, 0.0]]),
+        dict(B0=[1.0]),
+        dict(B={1: [[0.0], [0.0]]}),
+        dict(d={0: [0.0, 0.0]}),
+        # Out of range even when zero: exact zeros are dropped after the checks.
+        dict(B={0: [[0.0]]}),
+        dict(B={2: [[0.0]]}),
+        dict(d={-2: [0.0]}),
+        dict(d={"x": [0.0]}),
+    ],
+    ids=repr,
+)
+def test_spec_rejects_invalid_fields(change):
+    base = dict(n=1, m=1, A0=[[0.0]], B0=[[1.0]])
+    with pytest.raises(SchemaError):
+        ProblemSpec(**{**base, **change})
 
 
 def test_complex_mode_requires_pairs():
@@ -291,6 +332,14 @@ def test_system_matrix_and_forcing_accept_phase_arrays():
     for idx in np.ndindex(taus.shape):
         assert np.allclose(M[idx], spec.system_matrix(taus[idx], omega), atol=1e-14)
         assert np.allclose(f[idx], spec.forcing(taus[idx]), atol=1e-14)
+    # field is the system matrix with the forcing as its last column.
+    for tau in (0.7, taus):
+        F = spec.field(tau, omega)
+        assert F.shape == np.shape(tau) + (3, 4)
+        stacked = np.concatenate(
+            [spec.system_matrix(tau, omega), spec.forcing(tau)[..., None]], axis=-1
+        )
+        assert np.array_equal(F, stacked)
 
 
 def test_poly_arithmetic_is_blind_to_zero_padding():

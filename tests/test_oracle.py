@@ -9,6 +9,7 @@ from hfosc.errors import BoundaryUndecidable, NonUniqueError
 from hfosc.expansion import expand
 from hfosc.model import ProblemSpec
 from hfosc.oracle import (
+    _rhs,
     error_slope,
     floquet_verdict,
     integrate,
@@ -22,19 +23,47 @@ def test_scalar_relaxation_closed_form():
     # 1 + (cos(omega t) + omega sin(omega t)) / (1 + omega^2).
     spec = fixtures.scalar_decay()
     omega = 3.0
-    ps = periodic_solution(spec, omega)
-    closed = 1.0 + (np.cos(omega * ps.t) + omega * np.sin(omega * ps.t)) / (
-        1.0 + omega**2
-    )
-    assert np.allclose(ps.x[:, 0], closed, atol=1e-10)
     T = 2 * np.pi / omega
-    assert ps.multipliers[0] == pytest.approx(math.exp(-T), abs=1e-10)
-    assert ps.unique_margin == pytest.approx(1.0 - math.exp(-T), abs=1e-10)
-    assert ps.periodicity_defect < 1e-10
-    assert ps.ode_defect < 1e-10
+    # The defect quadrature runs over blocks of 32 sample intervals: 1 and 7
+    # fit in one short block, 100 ends with a short one, 256 fills them all.
+    for n_samples in (1, 7, 100, 256):
+        ps = periodic_solution(spec, omega, n_samples=n_samples)
+        assert ps.t.shape == ps.x[:, 0].shape == (n_samples + 1,)
+        closed = 1.0 + (np.cos(omega * ps.t) + omega * np.sin(omega * ps.t)) / (
+            1.0 + omega**2
+        )
+        assert np.allclose(ps.x[:, 0], closed, atol=1e-10)
+        assert ps.multipliers[0] == pytest.approx(math.exp(-T), abs=1e-10)
+        assert ps.unique_margin == pytest.approx(1.0 - math.exp(-T), abs=1e-10)
+        assert ps.periodicity_defect < 1e-10
+        assert ps.ode_defect < 1e-10, n_samples
     verdict = floquet_verdict(spec, omega)
     assert verdict.kind == "Stable"
     assert verdict.margin == pytest.approx(math.exp(-T) - 1.0, abs=1e-10)
+
+
+def test_one_right_side_for_trajectories_and_blocks():
+    spec = fixtures.random_admissible(seed=2, n=3, m=2, s=1)
+    omega = 40.0
+    rng = np.random.default_rng(5)
+
+    def direct(t, Y):
+        out = spec.system_matrix(omega * t, omega) @ Y
+        out[:, -1] += spec.forcing(omega * t)
+        return out
+
+    # The period-map block [Phi | forced response] at one time ...
+    Y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    got = _rhs(0.3, Y.reshape(-1), spec, omega).reshape(3, 4)
+    assert np.allclose(got, direct(0.3, Y), atol=1e-13)
+    # ... and single trajectories at a whole grid of times.
+    t = rng.uniform(0.0, 1.0, size=(2, 5))
+    y = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
+    got = _rhs(t, y, spec, omega)
+    assert got.shape == (2, 5, 3)
+    for idx in np.ndindex(t.shape):
+        want = direct(t[idx], y[idx][:, None])[:, 0]
+        assert np.allclose(got[idx], want, atol=1e-13)
 
 
 def test_autonomous_monodromy_is_matrix_exponential():
@@ -145,6 +174,15 @@ def test_error_slope_tracks_partial_sum_order():
         assert report.order == r
         assert len(report.errors) == 3
         assert all(e > 0 for e in report.errors)
+
+
+def test_error_slope_integrates_missing_frequencies():
+    spec = fixtures.random_admissible(seed=1, n=3, m=1)
+    exp = expand(spec, order=1)
+    omegas = (100.0, 200.0)
+    partial = {100.0: periodic_solution(spec, 100.0)}
+    report = error_slope(spec, exp, 1, omegas, solutions=partial)
+    assert report.errors == error_slope(spec, exp, 1, omegas).errors
 
 
 def test_error_slope_is_nan_when_errors_vanish():
