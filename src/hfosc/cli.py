@@ -196,6 +196,9 @@ def _cmd_stability(spec, cfg: RunConfig):
                 None if leader is None else [leader[0], leader[1]]
                 for leader in verdict.leaders
             ],
+            "zero_ratios": list(verdict.zero_ratios),
+            "imag_ratio": verdict.imag_ratio,
+            "imag_tol": verdict.imag_tol,
         },
     }
     lines = [

@@ -1,8 +1,12 @@
 import gc
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfosc import fixtures
 from hfosc.averaging import (
@@ -179,6 +183,113 @@ def test_hurwitz_minors_match_numpy_determinants():
                 assert minors[k - 1].coeff(2) == 0
 
 
+def _exact_minors(alphas, trunc):
+    """Leading Hurwitz minors by cofactor expansion over exact rationals.
+
+    ``alphas`` are real coefficient lists; every float converts to a
+    Fraction exactly, so the result is the exact minor of those numbers.
+    """
+    n = len(alphas)
+    a = [[Fraction(1)] + [Fraction(0)] * trunc]
+    a += [[Fraction(c) for c in al[: trunc + 1]] for al in alphas]
+    zero = [Fraction(0)] * (trunc + 1)
+
+    def mul(x, y):
+        return [sum(x[i] * y[q - i] for i in range(q + 1)) for q in range(trunc + 1)]
+
+    minors = []
+    for size in range(1, n + 1):
+        memo = {(): a[0]}
+
+        def det(cols):
+            if cols not in memo:
+                row = size - len(cols) + 1
+                acc = zero
+                for pos, c in enumerate(cols):
+                    k = 2 * row - c
+                    if 0 <= k <= n and any(a[k]):
+                        t = mul(a[k], det(cols[:pos] + cols[pos + 1 :]))
+                        acc = [u - v if pos % 2 else u + v for u, v in zip(acc, t)]
+                memo[cols] = acc
+            return memo[cols]
+
+        minors.append(np.array([float(v) for v in det(tuple(range(1, size + 1)))]))
+    return minors
+
+
+def test_hurwitz_series_matches_exact_minors_in_the_critical_case():
+    # Three zero eigenvalues: alpha_7..alpha_9 have no constant term (set to
+    # exact zeros here, their computed values being rounding), so the
+    # trailing minors have positive valuation and the elimination must
+    # divide whole blocks by eps.
+    spec = fixtures.random_admissible(seed=1, n=9, m=2, s=3)
+    alphas = [a.coeffs.real.copy() for a in char_poly_series(formal_average(spec))]
+    for a in alphas[-3:]:
+        a[0] = 0.0
+    exact = _exact_minors(alphas, DEFAULT_TRUNC)
+    minors = hurwitz_series([Series(a) for a in alphas])
+    for got, want in zip(minors, exact):
+        err = np.max(np.abs(got.coeffs - want)) / np.max(np.abs(want))
+        assert err <= 1e-10, err
+    # Below the valuation the computed minors are exact zeros, not rounding.
+    valuations = [int(np.flatnonzero(want)[0]) for want in exact[-3:]]
+    assert valuations == [1, 1, 2]
+    for got, v in zip(minors[-3:], valuations):
+        assert not got.coeffs[:v].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hurwitz_series_matches_exact_integer_minors(data):
+    # Small integers are exact in floating point and so are their exact
+    # minors; zeroed constant terms force positive valuations.
+    n = data.draw(st.integers(1, 7), label="n")
+    trunc = data.draw(st.integers(0, 4), label="trunc")
+    coeff = st.integers(-4, 4)
+    alphas = [
+        np.array(data.draw(st.lists(coeff, min_size=trunc + 1, max_size=trunc + 1)), float)
+        for _ in range(n)
+    ]
+    for k in data.draw(st.sets(st.integers(0, n - 1)), label="no constant term"):
+        alphas[k][0] = 0.0
+    minors = hurwitz_series([Series(a) for a in alphas])
+    assert [m.trunc for m in minors] == [trunc] * n
+    exact = _exact_minors(alphas, trunc)
+    # A minor that vanishes for generic values with the same zero pattern is
+    # structurally zero and must come out exactly zero.
+    rng = np.random.default_rng(0)
+    generic = [np.where(a, rng.integers(1, 10**6, a.shape), 0.0) for a in alphas]
+    generic = _exact_minors(generic, trunc)
+    scale = max(1.0, *(np.max(np.abs(e)) for e in exact))
+    # Relative to each minor's largest coefficient.  Some inputs force
+    # pivots whose constant term is small next to their higher orders; the
+    # worst of 68,000 random minors of this kind was off by 2.1e-11.
+    for k, (got, want, pattern) in enumerate(zip(minors, exact, generic), start=1):
+        if not pattern.any():
+            assert not got.coeffs.any(), (k, got.coeffs)
+        elif want.any():
+            err = np.max(np.abs(got.coeffs - want)) / np.max(np.abs(want))
+            assert err <= 1e-10, (k, err)
+        else:  # zero by cancellation of these particular values
+            assert np.max(np.abs(got.coeffs)) <= 1e-10 * scale, (k, got.coeffs)
+
+
+def test_hurwitz_series_rejects_bad_truncations():
+    alphas = [Series(np.arange(1.0, 8.0)) for _ in range(3)]
+    # Orders past the alphas' own truncation would be zero padding that
+    # classify reads as vanishing coefficients.
+    with pytest.raises(ValueError, match="0..6"):
+        hurwitz_series(alphas, trunc=10)
+    with pytest.raises(ValueError, match="0..6"):
+        hurwitz_series(alphas, trunc=-1)
+    with pytest.raises(ValueError, match="at least one"):
+        hurwitz_series([])
+    with pytest.raises(ValueError, match="at least one"):
+        classify([])
+    assert [m.trunc for m in hurwitz_series(alphas, trunc=0)] == [0, 0, 0]
+    assert [m.trunc for m in hurwitz_series(alphas, trunc=6)] == [6, 6, 6]
+
+
 def test_hurwitz_series_frees_its_memo():
     # The memoized recursion must not leave its table to the cycle
     # collector: in a long run that collector may not come round for a
@@ -280,15 +391,35 @@ def test_classify_measures_imaginary_parts_against_each_minor():
 
 
 def test_large_real_system_classifies_like_its_multipliers():
-    # The Hurwitz minors of this system reach 1e12 and more, and rounding
-    # leaves imaginary parts of order 1e-5 in them: far above 1e-6 in
-    # absolute terms, yet tiny next to the minors themselves.
-    spec = fixtures.random_admissible(seed=1, n=13, m=3, s=3)
-    verdict = analyze_stability(spec)
-    prime, scale = normalize(spec)
-    omega = 8.0 * constants(prime).K * scale
-    assert verdict.kind in ("Stable", "Unstable")
-    assert verdict.kind == floquet_verdict(spec, omega).kind
+    # The Hurwitz minors of the n = 13 system reach 1e12 and more, and
+    # rounding leaves imaginary parts of order 1e-5 in them: far above 1e-6
+    # in absolute terms, yet tiny next to the minors themselves.  At n = 24
+    # the minors must also come in polynomial time.
+    for n, m, s in ((13, 3, 3), (24, 2, 2)):
+        spec = fixtures.random_admissible(seed=1, n=n, m=m, s=s)
+        start = time.perf_counter()
+        verdict = analyze_stability(spec)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, (n, elapsed)
+        prime, scale = normalize(spec)
+        omega = 8.0 * constants(prime).K * scale
+        assert verdict.kind in ("Stable", "Unstable")
+        assert verdict.kind == floquet_verdict(spec, omega).kind
+
+
+def test_verdict_reports_measured_quantities_next_to_thresholds():
+    one = Series.constant(1.0, 4)
+    lopsided = Series((0.0, 1e-4, 1e6, 0.0, 0.0))
+    vanished = Series((0.0, 1e-15, 0.0, 0.0, 0.0))
+    verdict = classify([one, lopsided, vanished])
+    assert verdict.imag_tol == 1e-6
+    assert verdict.imag_ratio == 0.0
+    # Per minor: the largest coefficient counted as zero, over the scale.
+    assert verdict.zero_ratios == (0.0, pytest.approx(1e-10), pytest.approx(1e-15))
+    assert max(verdict.zero_ratios) <= verdict.zero_tol
+    complexish = classify([Series((1e12, 1e5j, -3.0))])
+    assert complexish.imag_ratio == pytest.approx(1e-7)
+    assert complexish.imag_ratio <= complexish.imag_tol
 
 
 def test_analyze_stability_rejects_complex_specs():

@@ -121,6 +121,19 @@ def test_stability_json_fields(tmp_path, capsys):
     )
 
 
+def test_stability_json_reports_measured_quantities(tmp_path, capsys):
+    path = _write(tmp_path, fixtures.random_admissible(seed=1, n=4, m=1, s=2))
+    assert main(["stability", path, "--omega", "100", "--format", "json"]) == 0
+    series = json.loads(capsys.readouterr().out)["series"]
+    assert len(series["zero_ratios"]) == len(series["leaders"]) == 4
+    assert all(0.0 <= ratio <= 1e-9 for ratio in series["zero_ratios"])
+    # Nothing is counted as zero ahead of an order-0 leader.
+    for (order, _), ratio in zip(series["leaders"], series["zero_ratios"]):
+        assert order > 0 or ratio == 0.0
+    assert series["imag_tol"] == 1e-6
+    assert 0.0 <= series["imag_ratio"] <= 1e-6
+
+
 def test_stability_undecidable_still_exits_zero(tmp_path, capsys):
     spec = ProblemSpec(
         n=2, m=0, A0=[[0.0, 1.0], [0.0, 0.0]], B0=np.zeros((2, 2)), d={},
