@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import NotRealError
 from .model import ProblemSpec, TrigPoly
+from .spectral import numerical_rank
 
 # Relative floor below which a series coefficient counts as zero.
 ZERO_TOL = 1e-9
@@ -309,7 +310,9 @@ class StabilityVerdict:
     series vanishes through the truncation.  ``kind`` is "Stable" when all
     leaders exist and are positive, "Unstable" when any leader is negative,
     and "Inconclusive" when a minor vanished identically (no finite
-    truncation can settle it).
+    truncation can settle it) or ``analyze_stability`` found the
+    characteristic series too inexact for minors; then ``leaders`` and
+    ``zero_ratios`` are empty and ``imag_ratio`` is None.
 
     The measured quantities stand next to their thresholds: ``imag_ratio``
     is the largest imaginary part of any minor relative to that minor's
@@ -323,7 +326,7 @@ class StabilityVerdict:
     trunc: int
     zero_tol: float
     detail: str
-    imag_ratio: float
+    imag_ratio: float | None
     imag_tol: float
     zero_ratios: tuple
 
@@ -386,9 +389,28 @@ def analyze_stability(
     Only real systems qualify (the sign test reads real leading
     coefficients).  The critical case is assumed but not required here;
     systems without a zero eigenvalue classify fine too.
+
+    With s zero eigenvalues at the rank cut, alpha_{n-s+1}..alpha_n have no
+    constant term; rounding left there above ``zero_tol`` of the alpha's
+    largest coefficient (n >= 28) would pass for a leader: Inconclusive.
     """
     if not spec.real_mode:
         raise NotRealError("stability series test requires real_mode")
-    series = formal_average(spec, trunc)
-    minors = hurwitz_series(char_poly_series(series))
-    return classify(minors, zero_tol=zero_tol)
+    alphas = char_poly_series(formal_average(spec, trunc))
+    rank = numerical_rank(np.linalg.svd(spec.A0, compute_uv=False))
+    ratios = [
+        abs(a.coeffs[0]) / np.abs(a.coeffs).max() if a.coeffs[0] else 0.0
+        for a in alphas[rank:]
+    ]
+    if max(ratios, default=0.0) > zero_tol:
+        k = int(np.argmax(ratios))
+        detail = (
+            f"A0 has {spec.n - rank} zero eigenvalues, but alpha_{rank + k + 1} keeps a "
+            f"constant term of {ratios[k]:.3e} of its largest coefficient, above "
+            f"zero_tol {zero_tol:g}: too inexact for the sign test"
+        )
+        return StabilityVerdict(
+            kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
+            detail=detail, imag_ratio=None, imag_tol=IMAG_TOL, zero_ratios=(),
+        )
+    return classify(hurwitz_series(alphas), zero_tol=zero_tol)

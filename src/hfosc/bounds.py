@@ -71,8 +71,8 @@ def normalize(spec: ProblemSpec) -> tuple[ProblemSpec, float]:
     return prime, scale
 
 
-def is_normalized(spec: ProblemSpec, slack: float = NORM_SLACK) -> bool:
-    return max(_block_norms(spec)) <= 1.0 + slack
+def is_normalized(spec: ProblemSpec) -> bool:
+    return max(_block_norms(spec)) <= 1.0 + NORM_SLACK
 
 
 @dataclass(frozen=True)

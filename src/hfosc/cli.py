@@ -14,22 +14,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from .averaging import analyze_stability, formal_average
+from .averaging import DEFAULT_TRUNC, ZERO_TOL, analyze_stability, formal_average
 from .errors import (
     BoundaryUndecidable,
     DegenerateError,
     HfoscError,
     NoKernelError,
     NonUniqueError,
-    SchemaError,
 )
 from .expansion import expand, partial_sum
-from .model import load_problem
+from .model import load_problem, to_pairs
+from .oracle import INTEGRATOR_TOL, UNIQUENESS_TOL
 from .oracle import error_slope, floquet_verdict, periodic_solution
 from .spectral import RANK_TOL, averaged_matrix, compute_kernel_data
 
@@ -38,40 +37,15 @@ EXIT_INPUT = 1
 EXIT_DEGENERATE = 2
 EXIT_NONUNIQUE = 3
 
-
-@dataclass
-class RunConfig:
-    command: str
-    path: str
-    order: int = 2
-    omega: float = 100.0
-    omegas: tuple = (100.0, 200.0, 400.0, 800.0)
-    trunc: int = 6
-    samples: int = 64
-    rank_tol: float = RANK_TOL
-    zero_tol: float = 1e-9
-    fmt: str = "text"
-    output: str | None = None
+# Bound on the defects and residuals that ``validate`` checks.
+DEFECT_TOL = 1e-8
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _vec(v) -> list:
-    return [_pair(z) for z in np.asarray(v).ravel()]
-
-
-def _mat(M) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(M)]
-
-
-def _fmt_c(z, prec=6) -> str:
+def _fmt_c(z) -> str:
     z = complex(z)
     if z.imag == 0:
-        return f"{z.real:+.{prec}g}"
-    return f"{z.real:+.{prec}g}{z.imag:+.{prec}g}j"
+        return f"{z.real:+.6g}"
+    return f"{z.real:+.6g}{z.imag:+.6g}j"
 
 
 def _fmt_vec(v) -> str:
@@ -85,11 +59,11 @@ def _basis_lines(label, basis) -> list:
     return out
 
 
-def _cmd_analyze(spec, cfg: RunConfig):
-    kd = compute_kernel_data(spec, rank_tol=cfg.rank_tol)
+def _cmd_analyze(spec, args):
+    kd = compute_kernel_data(spec, rank_tol=args.rank_tol)
     norm_spec, scale = bounds_mod.normalize(spec)
     cc = bounds_mod.constants(
-        norm_spec, compute_kernel_data(norm_spec, rank_tol=cfg.rank_tol)
+        norm_spec, compute_kernel_data(norm_spec, rank_tol=args.rank_tol)
     )
     doc = {
         "n": spec.n,
@@ -97,10 +71,10 @@ def _cmd_analyze(spec, cfg: RunConfig):
         "real_mode": spec.real_mode,
         "kernel_dim": kd.dim,
         "singular_values": [float(s) for s in kd.sigma],
-        "kernel": _mat(kd.kernel),
-        "left_kernel": _mat(kd.left_kernel),
-        "averaged": _mat(kd.averaged),
-        "solvability": _mat(kd.solvability),
+        "kernel": to_pairs(kd.kernel),
+        "left_kernel": to_pairs(kd.left_kernel),
+        "averaged": to_pairs(kd.averaged),
+        "solvability": to_pairs(kd.solvability),
         "solvability_sigma_min": kd.solvability_sigma_min,
         "scale": scale,
         "K": cc.K,
@@ -121,34 +95,29 @@ def _cmd_analyze(spec, cfg: RunConfig):
         f"constants (normalized problem): K={cc.K:g} L={cc.L:.6g} "
         f"omega0={cc.omega0:.6g}",
     ]
-    return doc, lines
+    return doc, lines, True
 
 
-def _cmd_expand(spec, cfg: RunConfig):
-    kd = compute_kernel_data(spec, rank_tol=cfg.rank_tol)
-    exp = expand(spec, cfg.order, kernel_data=kd)
-    levels = []
-    for lev in exp.levels:
-        levels.append(
-            {
-                "mean": _vec(lev.mean),
-                "kernel_coeff": _vec(lev.kernel_coeff),
-                "oscillation": {
-                    str(l): _vec(c) for l, c in sorted(lev.osc.coeffs.items())
-                },
-                "harmonics": {
-                    str(l): _vec(c) for l, c in sorted(lev.harmonics.coeffs.items())
-                },
-                "forcing": _vec(lev.forcing),
-                "harmonic_mass": lev.harmonic_mass,
-                "solvability_defect": lev.solvability_defect,
-            }
-        )
+def _cmd_expand(spec, args):
+    kd = compute_kernel_data(spec, rank_tol=args.rank_tol)
+    exp = expand(spec, args.order, kernel_data=kd)
+    levels = [
+        {
+            "mean": to_pairs(lev.mean),
+            "kernel_coeff": to_pairs(lev.kernel_coeff),
+            "oscillation": to_pairs(lev.osc.coeffs),
+            "harmonics": to_pairs(lev.harmonics.coeffs),
+            "forcing": to_pairs(lev.forcing),
+            "harmonic_mass": lev.harmonic_mass,
+            "solvability_defect": lev.solvability_defect,
+        }
+        for lev in exp.levels
+    ]
     doc = {
         "order": exp.order,
         "kernel_dim": kd.dim,
-        "kernel": _mat(kd.kernel),
-        "leading": _vec(exp.leading),
+        "kernel": to_pairs(kd.kernel),
+        "leading": to_pairs(exp.leading),
         "leading_defect": exp.leading_defect,
         "levels": levels,
     }
@@ -164,28 +133,28 @@ def _cmd_expand(spec, cfg: RunConfig):
             f"harmonics={len(lev.osc.coeffs)} "
             f"defect={lev.solvability_defect:.3g}"
         )
-    return doc, lines
+    return doc, lines, True
 
 
-def _cmd_evaluate(spec, cfg: RunConfig):
-    exp = expand(spec, cfg.order, compute_kernel_data(spec, rank_tol=cfg.rank_tol))
-    T = 2 * np.pi / cfg.omega
-    t = np.linspace(0.0, T, cfg.samples + 1)
-    x = partial_sum(exp, cfg.order, cfg.omega, t)
+def _cmd_evaluate(spec, args):
+    exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
+    T = 2 * np.pi / args.omega
+    t = np.linspace(0.0, T, args.samples + 1)
+    x = partial_sum(exp, args.order, args.omega, t)
     doc = {
-        "omega": cfg.omega,
-        "order": cfg.order,
+        "omega": args.omega,
+        "order": args.order,
         "t": [float(v) for v in t],
-        "x": [_vec(row) for row in x],
+        "x": to_pairs(x),
     }
-    lines = [f"partial sum of order {cfg.order} at omega={cfg.omega:g} over one period"]
+    lines = [f"partial sum of order {args.order} at omega={args.omega:g} over one period"]
     for ti, xi in zip(t, x):
         lines.append(f"  t={ti:.9g}: {_fmt_vec(xi)}")
-    return doc, lines
+    return doc, lines, True
 
 
-def _cmd_stability(spec, cfg: RunConfig):
-    verdict = analyze_stability(spec, trunc=cfg.trunc, zero_tol=cfg.zero_tol)
+def _cmd_stability(spec, args):
+    verdict = analyze_stability(spec, trunc=args.trunc, zero_tol=args.zero_tol)
     doc = {
         "trunc": verdict.trunc,
         "zero_tol": verdict.zero_tol,
@@ -206,26 +175,26 @@ def _cmd_stability(spec, cfg: RunConfig):
         f"  {verdict.detail}",
     ]
     try:
-        fv = floquet_verdict(spec, cfg.omega)
+        fv = floquet_verdict(spec, args.omega)
         doc["floquet"] = {
-            "omega": cfg.omega,
+            "omega": args.omega,
             "kind": fv.kind,
             "margin": fv.margin,
-            "multipliers": _vec(fv.multipliers),
+            "multipliers": to_pairs(fv.multipliers),
         }
         lines.append(
-            f"multiplier test at omega={cfg.omega:g}: {fv.kind} "
+            f"multiplier test at omega={args.omega:g}: {fv.kind} "
             f"(max |multiplier| - 1 = {fv.margin:.3e})"
         )
     except BoundaryUndecidable as exc:
-        doc["floquet"] = {"omega": cfg.omega, "kind": "Undecidable", "detail": str(exc)}
-        lines.append(f"multiplier test at omega={cfg.omega:g}: Undecidable ({exc})")
-    return doc, lines
+        doc["floquet"] = {"omega": args.omega, "kind": "Undecidable", "detail": str(exc)}
+        lines.append(f"multiplier test at omega={args.omega:g}: Undecidable ({exc})")
+    return doc, lines, True
 
 
-def _cmd_slope(spec, cfg: RunConfig):
-    exp = expand(spec, cfg.order, compute_kernel_data(spec, rank_tol=cfg.rank_tol))
-    rep = error_slope(spec, exp, cfg.order, cfg.omegas)
+def _cmd_slope(spec, args):
+    exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
+    rep = error_slope(spec, exp, args.order, args.omegas)
     doc = {
         "order": rep.order,
         "omegas": list(rep.omegas),
@@ -237,25 +206,26 @@ def _cmd_slope(spec, cfg: RunConfig):
     for w, e in zip(rep.omegas, rep.errors):
         lines.append(f"  omega={w:g}: {e:.6e}")
     lines.append(f"slope: {rep.slope:.3f} (expected about {-(rep.order + 1)})")
-    return doc, lines
+    return doc, lines, True
 
 
-def _cmd_validate(spec, cfg: RunConfig):
+def _cmd_validate(spec, args):
     checks = []
 
-    def check(name, ok, value, threshold):
+    def check(name, value, threshold, ok):
         checks.append(
             {"name": name, "ok": bool(ok), "value": value, "threshold": threshold}
         )
 
-    kd = compute_kernel_data(spec, rank_tol=cfg.rank_tol)
-    check("kernel_dim >= 1", kd.dim >= 1, kd.dim, 1)
-    check(
-        "solvability_sigma_min",
-        kd.solvability_sigma_min > 1e-10,
-        kd.solvability_sigma_min,
-        1e-10,
-    )
+    def below(name, value, threshold):
+        check(name, value, threshold, value < threshold)
+
+    def above(name, value, threshold):
+        check(name, value, threshold, value > threshold)
+
+    kd = compute_kernel_data(spec, rank_tol=args.rank_tol)
+    check("kernel_dim >= 1", kd.dim, 1, kd.dim >= 1)
+    above("solvability_sigma_min", kd.solvability_sigma_min, kd.solvability_floor)
 
     rng = np.random.default_rng(0)
     worst_inv = 0.0
@@ -266,58 +236,58 @@ def _cmd_validate(spec, cfg: RunConfig):
         h = kd.restricted_inverse @ g
         worst_inv = max(worst_inv, float(np.linalg.norm(spec.A0 @ h - g)))
         worst_perp = max(worst_perp, float(np.max(np.abs(kd.kernel.conj().T @ h))))
-    check("partial_inverse_residual", worst_inv < 1e-8, worst_inv, 1e-8)
-    check("partial_inverse_orthogonality", worst_perp < 1e-8, worst_perp, 1e-8)
+    below("partial_inverse_residual", worst_inv, DEFECT_TOL)
+    below("partial_inverse_orthogonality", worst_perp, DEFECT_TOL)
 
-    exp = expand(spec, cfg.order, kernel_data=kd)
+    exp = expand(spec, args.order, kernel_data=kd)
     defect = max(
         [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels]
     )
-    check("expansion_solvability_defect", defect < 1e-8, defect, 1e-8)
+    below("expansion_solvability_defect", defect, DEFECT_TOL)
     ortho = max(
         float(np.max(np.abs(kd.kernel.conj().T @ lev.mean))) for lev in exp.levels
     )
-    check("expansion_mean_orthogonality", ortho < 1e-8, ortho, 1e-8)
+    below("expansion_mean_orthogonality", ortho, DEFECT_TOL)
     sup_ok = all(
         not lev.osc.coeffs
         or (0 not in lev.osc.coeffs and max(abs(l) for l in lev.osc.coeffs) <= (k + 1) * spec.m)
         for k, lev in enumerate(exp.levels)
     )
-    check("oscillation_support", sup_ok, sup_ok, True)
+    check("oscillation_support", sup_ok, True, sup_ok)
 
     norm_spec, scale = bounds_mod.normalize(spec)
-    nkd = compute_kernel_data(norm_spec, rank_tol=cfg.rank_tol)
+    nkd = compute_kernel_data(norm_spec, rank_tol=args.rank_tol)
     cc = bounds_mod.constants(norm_spec, nkd)
-    nexp = expand(norm_spec, cfg.order, kernel_data=nkd)
+    nexp = expand(norm_spec, args.order, kernel_data=nkd)
     rep = bounds_mod.check_growth(nexp, cc)
-    check("growth_envelope", rep.all_ok, rep.all_ok, True)
+    check("growth_envelope", rep.all_ok, True, rep.all_ok)
 
-    omega = cfg.omega
+    omega = args.omega
     ps = periodic_solution(spec, omega)
-    check("oracle_periodicity", ps.periodicity_defect < 1e-8, ps.periodicity_defect, 1e-8)
-    check("oracle_ode_defect", ps.ode_defect < 1e-8, ps.ode_defect, 1e-8)
-    check("oracle_unique_margin", ps.unique_margin > 1e-10, ps.unique_margin, 1e-10)
-    S = partial_sum(exp, cfg.order, omega, ps.t)
+    below("oracle_periodicity", ps.periodicity_defect, DEFECT_TOL)
+    below("oracle_ode_defect", ps.ode_defect, DEFECT_TOL)
+    above("oracle_unique_margin", ps.unique_margin, UNIQUENESS_TOL)
+    S = partial_sum(exp, args.order, omega, ps.t)
     err = float(np.max(np.linalg.norm(ps.x - S, axis=1)))
     # Two honest error sources: the truncated tail, and the reference
     # solution's own fixed-point conditioning at this frequency.
     scale_x = max(1.0, float(np.max(np.abs(ps.x))))
     budget = float(
-        100.0 * scale_x * omega ** -(cfg.order + 1)
-        + 1e3 * 1e-12 * scale_x / ps.unique_margin
+        100.0 * scale_x * omega ** -(args.order + 1)
+        + 1e3 * INTEGRATOR_TOL * scale_x / ps.unique_margin
     )
-    check("partial_sum_error", err < budget, err, budget)
+    below("partial_sum_error", err, budget)
 
     if spec.real_mode:
         a1 = float(
             np.max(np.abs(formal_average(spec, 1).coeff(1) - averaged_matrix(spec)))
         )
-        check("averaging_routes_agree", a1 < 1e-10, a1, 1e-10)
+        below("averaging_routes_agree", a1, 1e-10)
 
     ok = all(c["ok"] for c in checks)
-    doc = {"omega": omega, "order": cfg.order, "ok": ok, "checks": checks}
+    doc = {"omega": omega, "order": args.order, "ok": ok, "checks": checks}
     lines = [
-        f"validation at order {cfg.order}, omega {omega:g} "
+        f"validation at order {args.order}, omega {omega:g} "
         f"(asymptotic threshold omega0*scale = {cc.omega0 * scale:.6g}):"
     ]
     for c in checks:
@@ -339,27 +309,76 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit_code, report_text)."""
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parsed command; returns (exit_code, report_text)."""
     try:
-        spec = load_problem(cfg.path)
-        result = _COMMANDS[cfg.command](spec, cfg)
-    except SchemaError as exc:
-        return EXIT_INPUT, f"error: {exc}"
+        spec = load_problem(args.path)
+        doc, lines, ok = _COMMANDS[args.command](spec, args)
     except (NoKernelError, DegenerateError) as exc:
         return EXIT_DEGENERATE, f"error: {exc}"
     except NonUniqueError as exc:
         return EXIT_NONUNIQUE, f"error: {exc}"
     except HfoscError as exc:
         return EXIT_INPUT, f"error: {exc}"
-    if len(result) == 3:
-        doc, lines, ok = result
-        code = EXIT_OK if ok else EXIT_INPUT
-    else:
-        doc, lines = result
-        code = EXIT_OK
-    text = json.dumps(doc, indent=2) if cfg.fmt == "json" else "\n".join(lines)
-    return code, text
+    text = json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines)
+    return (EXIT_OK if ok else EXIT_INPUT), text
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _frequencies(text: str) -> tuple:
+    try:
+        omegas = tuple(_positive(w) for w in text.split(","))
+    except ValueError:
+        omegas = ()
+    if len(omegas) < 2 or len(set(omegas)) < len(omegas):
+        raise ValueError(
+            "needs two or more distinct positive finite frequencies, "
+            f"comma-separated; got {text!r}"
+        )
+    return omegas
+
+
+# Each flag once: the commands that take it, its parser and its default.
+# ``stability`` takes no --rank-tol: it computes no kernel, and the one rank
+# cut of the series test stays at RANK_TOL.
+_FLAGS = {
+    "--rank-tol": (("analyze", "expand", "evaluate", "slope", "validate"), _positive, RANK_TOL),
+    "--order": (("expand", "evaluate", "slope", "validate"), _at_least(0), 2),
+    "--omega": (("evaluate", "stability", "validate"), _positive, 100.0),
+    "--samples": (("evaluate",), _at_least(1), 64),
+    "--trunc": (("stability",), _at_least(1), DEFAULT_TRUNC),
+    "--zero-tol": (("stability",), _positive, ZERO_TOL),
+    "--omegas": (("slope",), _frequencies, (100.0, 200.0, 400.0, 800.0)),
+}
+
+
+def _flag_type(flag: str, parse):
+    """argparse type for ``flag``.  What ``parse`` rejects raises HfoscError,
+    which argparse lets through: ``main`` reports it and returns EXIT_INPUT."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise HfoscError(f"{flag}: {exc}") from None
+
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -378,72 +397,28 @@ def _build_parser() -> argparse.ArgumentParser:
         c.add_argument("path", help="problem document (JSON)")
         c.add_argument("--format", choices=("text", "json"), default="text")
         c.add_argument("--output", default=None, help="write the report to a file")
-        if name != "stability":  # the series test computes no kernel
-            c.add_argument("--rank-tol", type=float, default=RANK_TOL)
-        if name in ("expand", "evaluate", "slope", "validate"):
-            c.add_argument("--order", type=int, default=2)
-        if name in ("evaluate", "stability", "validate"):
-            c.add_argument("--omega", type=float, default=100.0)
-        if name == "evaluate":
-            c.add_argument("--samples", type=int, default=64)
-        if name == "stability":
-            c.add_argument("--trunc", type=int, default=6)
-            c.add_argument("--zero-tol", type=float, default=1e-9)
-        if name == "slope":
-            c.add_argument(
-                "--omegas",
-                default="100,200,400,800",
-                help="comma-separated frequencies",
-            )
+        for flag, (commands, parse, default) in _FLAGS.items():
+            if name in commands:
+                c.add_argument(flag, type=_flag_type(flag, parse), default=default)
     return p
 
 
-def _range_error(args) -> str | None:
-    """Why a numeric flag is out of range, or None when all are in range."""
-    for name in ("omega", "rank_tol", "zero_tol"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            return f"--{name.replace('_', '-')} must be positive and finite, got {value}"
-    for name, low in (("order", 0), ("trunc", 1), ("samples", 1)):
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            return f"--{name} must be at least {low}, got {value}"
-    omegas = getattr(args, "omegas", None)
-    if omegas is not None and not (
-        len(set(omegas)) == len(omegas) >= 2
-        and all(math.isfinite(w) and w > 0 for w in omegas)
-    ):
-        return "--omegas needs two or more distinct positive finite frequencies"
-    return None
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if hasattr(args, "omegas"):
-        try:
-            args.omegas = tuple(float(w) for w in args.omegas.split(","))
-        except ValueError:
-            print("error: --omegas expects comma-separated numbers", file=sys.stderr)
-            return EXIT_INPUT
-    problem = _range_error(args)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
+    try:
+        args = _build_parser().parse_args(argv)
+    except HfoscError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    kwargs = {
-        "command": args.command,
-        "path": args.path,
-        "fmt": args.format,
-        "output": args.output,
-    }
-    for field in ("order", "omega", "omegas", "samples", "trunc", "rank_tol", "zero_tol"):
-        if hasattr(args, field):
-            kwargs[field] = getattr(args, field)
-    code, text = run(RunConfig(**kwargs))
+    code, text = run(args)
     if code != EXIT_OK and text.startswith("error:"):
         print(text, file=sys.stderr)
-    elif kwargs.get("output"):
-        with open(kwargs["output"], "w") as fh:
-            fh.write(text + "\n")
+    elif args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         print(text)
     return code

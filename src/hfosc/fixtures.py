@@ -76,11 +76,16 @@ def scalar_decay() -> ProblemSpec:
     )
 
 
-def _clipped_singular(rng, size, low=0.5, high=1.5):
-    """Random real matrix with singular values forced into [low, high]."""
+# Scale of the random blocks B_l, and the candidates drawn before giving up.
+_OSC_SCALE = 0.35
+_ATTEMPTS = 64
+
+
+def _clipped_singular(rng, size):
+    """Random real matrix with singular values forced into [0.5, 1.5]."""
     M = rng.standard_normal((size, size))
     U, sv, Vh = np.linalg.svd(M)
-    return U @ np.diag(np.clip(sv, low, high)) @ Vh
+    return U @ np.diag(np.clip(sv, 0.5, 1.5)) @ Vh
 
 
 def random_admissible(
@@ -90,8 +95,6 @@ def random_admissible(
     s: int = 1,
     real_mode: bool = True,
     forced: bool = True,
-    osc_scale: float = 0.35,
-    attempts: int = 64,
 ) -> ProblemSpec:
     """Seeded random system that passes the admissibility checks.
 
@@ -103,7 +106,7 @@ def random_admissible(
     if not 1 <= s <= n:
         raise ValueError(f"s={s} out of range for n={n}")
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         if real_mode:
             Q, R = np.linalg.qr(rng.standard_normal((n, n)))
             Q = Q * np.sign(np.diag(R))
@@ -130,11 +133,11 @@ def random_admissible(
             B0 = B0 + 0.6j * rng.standard_normal((n, n))
         B = {}
         for l in range(1, m + 1):
-            Bl = osc_scale * (
+            Bl = _OSC_SCALE * (
                 rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             )
             B[l] = Bl
-            B[-l] = np.conj(Bl) if real_mode else osc_scale * (
+            B[-l] = np.conj(Bl) if real_mode else _OSC_SCALE * (
                 rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             )
         d = {}

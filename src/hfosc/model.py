@@ -391,12 +391,13 @@ def parse_problem(doc) -> ProblemSpec:
     )
 
 
-def _emit_entry(z: complex):
-    return [z.real, z.imag]
-
-
-def _emit_matrix(mat):
-    return [[_emit_entry(complex(v)) for v in row] for row in np.asarray(mat)]
+def to_pairs(values):
+    """An array as nested lists of [re, im] pairs; a harmonic map {l: array}
+    as {"l": pairs} in increasing l."""
+    if isinstance(values, dict):
+        return {str(l): to_pairs(values[l]) for l in sorted(values)}
+    values = np.asarray(values, dtype=complex)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def serialize_problem(spec: ProblemSpec) -> dict:
@@ -406,12 +407,10 @@ def serialize_problem(spec: ProblemSpec) -> dict:
         "n": spec.n,
         "m": spec.m,
         "real_mode": spec.real_mode,
-        "A0": _emit_matrix(spec.A0),
-        "B0": _emit_matrix(spec.B0),
-        "B": {str(l): _emit_matrix(spec.B[l]) for l in sorted(spec.B)},
-        "d": {
-            str(l): [_emit_entry(complex(v)) for v in spec.d[l]] for l in sorted(spec.d)
-        },
+        "A0": to_pairs(spec.A0),
+        "B0": to_pairs(spec.B0),
+        "B": to_pairs(spec.B),
+        "d": to_pairs(spec.d),
     }
 
 

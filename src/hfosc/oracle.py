@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BoundaryUndecidable, NonUniqueError, StepFailure
 from .model import ProblemSpec
 
-# Default integrator accuracy (both rtol and atol).
+# Integrator accuracy (both rtol and atol).
 INTEGRATOR_TOL = 1e-12
 
 # sigma_min(I - Phi) at or below this means the periodic solution is not
@@ -62,7 +62,7 @@ def _rhs(t, y, spec: ProblemSpec, omega: float):
     return out.reshape(y.shape)
 
 
-def _solve(spec, omega, y0, t0, t1, tol, dense=False):
+def _solve(spec, omega, y0, t0, t1, dense=False):
     # Imported here: commands that never integrate skip loading scipy.integrate.
     from scipy.integrate import solve_ivp
 
@@ -71,8 +71,8 @@ def _solve(spec, omega, y0, t0, t1, tol, dense=False):
         (t0, t1),
         np.asarray(y0, dtype=complex).reshape(-1),
         method="DOP853",
-        rtol=tol,
-        atol=tol,
+        rtol=INTEGRATOR_TOL,
+        atol=INTEGRATOR_TOL,
         max_step=(2 * np.pi / omega) / 16,
         dense_output=dense,
         args=(spec, omega),
@@ -85,26 +85,26 @@ def _solve(spec, omega, y0, t0, t1, tol, dense=False):
     return sol
 
 
-def integrate(spec: ProblemSpec, omega, x0, t0, t1, tol: float = INTEGRATOR_TOL):
+def integrate(spec: ProblemSpec, omega, x0, t0, t1):
     """State at t1 of the solution through (t0, x0)."""
     _check_omega(omega)
     if t1 == t0:
         return np.asarray(x0, dtype=complex)
-    return _solve(spec, omega, x0, t0, t1, tol).y[:, -1]
+    return _solve(spec, omega, x0, t0, t1).y[:, -1]
 
 
-def monodromy(spec: ProblemSpec, omega, tol: float = INTEGRATOR_TOL) -> np.ndarray:
+def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
     """Period map Phi(T), T = 2 pi / omega, from the matrix equation."""
     _check_omega(omega)
-    Phi, _ = _transition_and_forced(spec, omega, tol)
+    Phi, _ = _transition_and_forced(spec, omega)
     return Phi
 
 
-def _transition_and_forced(spec, omega, tol):
+def _transition_and_forced(spec, omega):
     """One pass for Phi(T) and the forced response from zero: the state is
     the block [I | 0], whose last column alone picks up the forcing."""
     n = spec.n
-    sol = _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega, tol)
+    sol = _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega)
     # A copy: views would keep every stored step of the n (n+1) states alive.
     YT = sol.y[:, -1].reshape(n, n + 1).copy()
     return YT[:, :n], YT[:, n]
@@ -134,21 +134,16 @@ class PeriodicOracleSolution:
     unique_margin: float
 
 
-def periodic_solution(
-    spec: ProblemSpec,
-    omega,
-    n_samples: int = 256,
-    tol: float = INTEGRATOR_TOL,
-) -> PeriodicOracleSolution:
+def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> PeriodicOracleSolution:
     """The unique periodic solution, sampled over one period.
 
     Raises NonUniqueError when the period map has 1 as an eigenvalue to
-    working precision, i.e. sigma_min(I - Phi) <= 1e-10.
+    working precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
     """
     _check_omega(omega)
     n = spec.n
     T = 2 * np.pi / omega
-    Phi, forced = _transition_and_forced(spec, omega, tol)
+    Phi, forced = _transition_and_forced(spec, omega)
     gap = np.eye(n) - Phi
     sigma = np.linalg.svd(gap, compute_uv=False)
     unique_margin = float(sigma[-1])
@@ -160,7 +155,7 @@ def periodic_solution(
         )
     x0 = np.linalg.solve(gap, forced)
 
-    sol = _solve(spec, omega, x0, 0.0, T, tol, dense=True)
+    sol = _solve(spec, omega, x0, 0.0, T, dense=True)
     t = np.linspace(0.0, T, n_samples + 1)
     x = sol.sol(t).T
     x[0] = x0
@@ -198,24 +193,19 @@ class FloquetVerdict:
     multipliers: np.ndarray
 
 
-def floquet_verdict(
-    spec: ProblemSpec,
-    omega,
-    tol: float = INTEGRATOR_TOL,
-    unit_band: float = UNIT_BAND,
-) -> FloquetVerdict:
+def floquet_verdict(spec: ProblemSpec, omega) -> FloquetVerdict:
     """Stability of x' = M(t) x from the characteristic multipliers.
 
     Unstable when some multiplier leaves the closed unit disk by more than
-    ``unit_band``; otherwise stable, provided every multiplier cluster on
+    ``UNIT_BAND``; otherwise stable, provided every multiplier cluster on
     the unit circle is semisimple.  A defective on-circle cluster raises
     BoundaryUndecidable: the verdict would hinge on structure below the
     resolution of the computed period map.
     """
-    Phi = monodromy(spec, omega, tol)
+    Phi = monodromy(spec, omega)
     mult = np.linalg.eigvals(Phi)
     margin = float(np.max(np.abs(mult)) - 1.0)
-    if margin > unit_band:
+    if margin > UNIT_BAND:
         return FloquetVerdict(kind="Unstable", margin=margin, multipliers=mult)
 
     scale = max(1.0, float(np.linalg.norm(Phi, 2)))
@@ -227,7 +217,7 @@ def floquet_verdict(
         remaining = [j for j in remaining if j not in cluster]
         if len(cluster) < 2:
             continue
-        if np.max(np.abs(mult[cluster])) < 1.0 - unit_band:
+        if np.max(np.abs(mult[cluster])) < 1.0 - UNIT_BAND:
             continue  # strictly inside; transients decay regardless
         center = np.mean(mult[cluster])
         sv = np.linalg.svd(Phi - center * np.eye(spec.n), compute_uv=False)
@@ -254,7 +244,6 @@ def error_slope(
     expansion,
     order: int,
     omegas,
-    tol: float = INTEGRATOR_TOL,
     solutions: dict | None = None,
 ) -> SlopeReport:
     """Log-log slope of the worst-case partial-sum error against omega.
@@ -278,7 +267,7 @@ def error_slope(
     errors = []
     scale = 1.0
     for w in omegas:
-        ps = (solutions or {}).get(w) or periodic_solution(spec, w, tol=tol)
+        ps = (solutions or {}).get(w) or periodic_solution(spec, w)
         S = partial_sum(expansion, order, w, ps.t)
         errors.append(float(np.max(np.linalg.norm(ps.x - S, axis=1))))
         scale = max(scale, float(np.max(np.abs(ps.x))))

@@ -68,6 +68,8 @@ class KernelData:
         treated as zero.
     solvability_sigma_min : float
         Smallest singular value of ``solvability`` (margin from degeneracy).
+    solvability_floor : float
+        The floor it cleared: DEGENERATE_TOL * max(sigma_max, 1) of ``solvability``.
     """
 
     dim: int
@@ -79,6 +81,7 @@ class KernelData:
     restricted_inverse: np.ndarray
     sigma: np.ndarray
     solvability_sigma_min: float
+    solvability_floor: float
 
     def kernel_component(self, v: np.ndarray) -> np.ndarray:
         """Coefficients of v along the kernel basis (orthogonal projection)."""
@@ -89,6 +92,12 @@ class KernelData:
         return self.left_kernel.conj().T @ v
 
 
+def numerical_rank(sigma: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """Count of the (descending) singular values that the rank cut keeps."""
+    cut = rank_tol * max(float(sigma[0]), 1.0)
+    return int(np.sum(sigma > cut))
+
+
 def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> KernelData:
     """SVD-based kernel data for the zero eigenvalue of A0.
 
@@ -97,8 +106,7 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
     """
     n = spec.n
     U, sigma, Vh = np.linalg.svd(spec.A0)
-    cut = rank_tol * max(float(sigma[0]) if n else 0.0, 1.0)
-    rank = int(np.sum(sigma > cut))
+    rank = numerical_rank(sigma, rank_tol)
     s = n - rank
     if s == 0:
         raise NoKernelError(
@@ -114,7 +122,8 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
     solvability = left_kernel.conj().T @ A1 @ kernel
     sv = np.linalg.svd(solvability, compute_uv=False)
     sigma_min = float(sv[-1])
-    if sigma_min <= DEGENERATE_TOL * max(float(sv[0]), 1.0):
+    floor = DEGENERATE_TOL * max(float(sv[0]), 1.0)
+    if sigma_min <= floor:
         raise DegenerateError(
             f"solvability matrix is singular to tolerance "
             f"(sigma_min={sigma_min:.3e}); the coefficient recursion "
@@ -130,4 +139,5 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
         restricted_inverse=restricted_inverse,
         sigma=sigma,
         solvability_sigma_min=sigma_min,
+        solvability_floor=floor,
     )

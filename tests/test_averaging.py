@@ -1,6 +1,9 @@
 import gc
+import importlib.util
+import pathlib
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +28,12 @@ from hfosc.errors import NotRealError
 from hfosc.model import ProblemSpec
 from hfosc.oracle import floquet_verdict
 from hfosc.spectral import averaged_matrix
+
+# The benchmark's systems whose stability is known by construction.
+_PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "problems.py"
+_spec = importlib.util.spec_from_file_location("perfbench_problems", _PROBLEMS)
+problems = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(problems)
 
 
 def _random_scalar_series(rng, trunc):
@@ -426,3 +435,22 @@ def test_analyze_stability_rejects_complex_specs():
     spec = fixtures.random_admissible(seed=0, n=3, m=1, real_mode=False)
     with pytest.raises(NotRealError):
         analyze_stability(spec)
+
+
+def test_inexact_characteristic_series_gives_no_verdict():
+    # With s = 2 the constant terms of alpha_{n-1} and alpha_n vanish
+    # exactly, but rounding leaves 5e-9 to 4e-8 of their largest
+    # coefficient at n = 32: read as leaders, they made these stable
+    # systems Unstable.  At n = 40 the minors overflowed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stable in (True, False):
+            built = problems.constructed([0, 9, 24], 24, 2, 2, stable)
+            assert analyze_stability(built).kind == ("Stable" if stable else "Unstable")
+        for seed in range(3):
+            verdict = analyze_stability(problems.constructed([seed, 9, 32], 32, 2, 2, True))
+            assert verdict.kind == "Inconclusive", seed
+        verdict = analyze_stability(problems.constructed([0, 9, 40], 40, 2, 2, False))
+    assert verdict.kind == "Inconclusive"
+    assert verdict.leaders == () and verdict.zero_ratios == ()
+    assert "alpha_40" in verdict.detail and "above zero_tol 1e-09" in verdict.detail

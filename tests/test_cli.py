@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hfosc import fixtures
+from hfosc.averaging import DEFAULT_TRUNC, ZERO_TOL
 from hfosc.cli import main
 from hfosc.model import ProblemSpec, serialize_problem
 
@@ -112,6 +113,7 @@ def test_stability_json_fields(tmp_path, capsys):
     path = _write(tmp_path, fixtures.borderline_unstable())
     assert main(["stability", path, "--omega", "100", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["trunc"] == DEFAULT_TRUNC and doc["zero_tol"] == ZERO_TOL
     assert doc["series"]["kind"] == "Inconclusive"
     assert doc["series"]["leaders"][0] == [0, pytest.approx(1.0)]
     assert doc["series"]["leaders"][1] is None
@@ -232,6 +234,25 @@ def test_errors_go_to_stderr_not_output_file(tmp_path, capsys):
     assert code == 1
     assert not target.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    path = str(FIXTURES / "random_n3_m1.json")
+    assert main(["analyze", path, "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert captured.out == ""
+
+
+def test_validate_reports_the_thresholds_applied(capsys):
+    # The solvability floor is relative, DEGENERATE_TOL * max(sigma_max, 1)
+    # of the solvability matrix, not a bare 1e-10.
+    path = str(FIXTURES / "forced_borderline.json")
+    assert main(["validate", path, "--format", "json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["solvability_sigma_min"]["threshold"] == pytest.approx(2.094e-10, rel=1e-3)
+    assert checks["oracle_unique_margin"]["threshold"] == 1e-10
 
 
 def test_usage_errors_exit_one():
