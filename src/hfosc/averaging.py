@@ -310,9 +310,10 @@ class StabilityVerdict:
     series vanishes through the truncation.  ``kind`` is "Stable" when all
     leaders exist and are positive, "Unstable" when any leader is negative,
     and "Inconclusive" when a minor vanished identically (no finite
-    truncation can settle it) or ``analyze_stability`` found the
-    characteristic series too inexact for minors; then ``leaders`` and
-    ``zero_ratios`` are empty and ``imag_ratio`` is None.
+    truncation can settle it), when a minor has a non-finite coefficient, or
+    when ``analyze_stability`` found the characteristic series too inexact
+    for minors; in the last two cases ``leaders`` and ``zero_ratios`` are
+    empty and ``imag_ratio`` is None.
 
     The measured quantities stand next to their thresholds: ``imag_ratio``
     is the largest imaginary part of any minor relative to that minor's
@@ -336,6 +337,15 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
     if not minors:
         raise ValueError("classify needs at least one Hurwitz minor")
     trunc = min(mnr.trunc for mnr in minors)
+    bad = [f"D_{j}" for j, mnr in enumerate(minors, start=1)
+           if not np.isfinite(mnr.coeffs[: trunc + 1]).all()]
+    if bad:
+        return StabilityVerdict(
+            kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
+            detail=f"non-finite coefficients in {', '.join(bad)} (overflow or "
+            "invalid arithmetic): no sign test",
+            imag_ratio=None, imag_tol=IMAG_TOL, zero_ratios=(),
+        )
     leaders = []
     zero_ratios = []
     notes = []

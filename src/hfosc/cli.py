@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -420,7 +421,12 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return EXIT_INPUT
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader left (``| head``).  Point stdout at devnull so the
+            # interpreter's final flush does not raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

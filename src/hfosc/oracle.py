@@ -7,16 +7,17 @@ equation (I - Phi) x0 = v with the forced response v, and stability is
 read off the characteristic multipliers.  The expansion modules are then
 validated against these results, never the other way around.
 
-One right side serves every integration.  ``_rhs`` maps an n x k state
-block Y at time t to (M(omega t) + B0/omega) Y with the forcing f(omega t)
-added to the last column, reading all of it from a single evaluation of
-``ProblemSpec.field``.  With k = 1 the block is one trajectory: the
-solution through a given state, and the dense pass that samples the
-periodic solution.  With k = n + 1 it is the fundamental system beside the
-forced response from zero, so the period map and the forced response share
-one step sequence.  The same function takes arrays of times, which is how
-the integral-form defect of the sampled solution evaluates all Gauss nodes
-of a block of sample intervals at once.
+One right side serves every integration.  The package's own DOP853
+(``hfosc.dop853``, numpy only) advances an n x k state block Y at time t by
+(M(omega t) + B0/omega) Y with the forcing f(omega t) added to the last
+column, reading all of it from ``ProblemSpec.field``, once per step for all
+stages.  With k = 1 the block is one trajectory: the solution through a
+given state, and the dense pass that samples the periodic solution.  With
+k = n + 1 it is the fundamental system beside the forced response from zero,
+so the period map and the forced response share one step sequence.
+``_rhs`` applies the same right side to states at arrays of times, which is
+how the integral-form defect of the sampled solution evaluates all Gauss
+nodes of a block of sample intervals at once.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryUndecidable, NonUniqueError, StepFailure
+from .errors import BoundaryUndecidable, NonUniqueError
 from .model import ProblemSpec
 
 # Integrator accuracy (both rtol and atol).
@@ -54,43 +55,34 @@ def _check_omega(omega) -> None:
 def _rhs(t, y, spec: ProblemSpec, omega: float):
     """Right side for y of shape (*shape(t), n k): one flattened n x k block
     per time, mapped to (M + B0/omega) Y with f added to the last column."""
-    n = spec.n
+    from .dop853 import apply
+
     F = spec.field(omega * t, omega)
-    Y = y.reshape(np.shape(t) + (n, -1))
-    out = F[..., :n] @ Y
-    out[..., -1] += F[..., n]
-    return out.reshape(y.shape)
+    Y = y.reshape(np.shape(t) + (spec.n, -1))
+    return apply(F, Y).reshape(y.shape)
 
 
 def _solve(spec, omega, y0, t0, t1, dense=False):
-    # Imported here: commands that never integrate skip loading scipy.integrate.
-    from scipy.integrate import solve_ivp
+    # Imported here, as in _rhs: commands that never integrate skip the
+    # integrator's module and its tableau.
+    from .dop853 import solve
 
-    sol = solve_ivp(
-        _rhs,
-        (t0, t1),
-        np.asarray(y0, dtype=complex).reshape(-1),
-        method="DOP853",
+    return solve(
+        lambda t: spec.field(omega * t, omega),
+        y0,
+        t0,
+        t1,
         rtol=INTEGRATOR_TOL,
         atol=INTEGRATOR_TOL,
         max_step=(2 * np.pi / omega) / 16,
-        dense_output=dense,
-        args=(spec, omega),
+        dense=dense,
     )
-    if not sol.success:
-        t_reached = float(sol.t[-1]) if len(sol.t) else t0
-        raise StepFailure(
-            f"integration stalled at t={t_reached:.6g}: {sol.message}", t=t_reached
-        )
-    return sol
 
 
 def integrate(spec: ProblemSpec, omega, x0, t0, t1):
     """State at t1 of the solution through (t0, x0)."""
     _check_omega(omega)
-    if t1 == t0:
-        return np.asarray(x0, dtype=complex)
-    return _solve(spec, omega, x0, t0, t1).y[:, -1]
+    return _solve(spec, omega, x0, t0, t1).y
 
 
 def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
@@ -104,9 +96,7 @@ def _transition_and_forced(spec, omega):
     """One pass for Phi(T) and the forced response from zero: the state is
     the block [I | 0], whose last column alone picks up the forcing."""
     n = spec.n
-    sol = _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega)
-    # A copy: views would keep every stored step of the n (n+1) states alive.
-    YT = sol.y[:, -1].reshape(n, n + 1).copy()
+    YT = _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega).y
     return YT[:, :n], YT[:, n]
 
 
@@ -157,9 +147,9 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
 
     sol = _solve(spec, omega, x0, 0.0, T, dense=True)
     t = np.linspace(0.0, T, n_samples + 1)
-    x = sol.sol(t).T
+    x = sol.dense(t)
     x[0] = x0
-    periodicity_defect = float(np.linalg.norm(sol.y[:, -1] - x0))
+    periodicity_defect = float(np.linalg.norm(sol.y - x0))
 
     mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
     steps = np.diff(x, axis=0)
@@ -167,7 +157,7 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
     for i in range(0, n_samples, _DEFECT_BLOCK):
         block = slice(i, i + _DEFECT_BLOCK)
         nodes = mids[block, None] + halves[block, None] * _GAUSS_X
-        states = sol.sol(nodes.ravel()).T.reshape(nodes.shape + (n,))
+        states = sol.dense(nodes)
         increments = halves[block, None] * (_GAUSS_W @ _rhs(nodes, states, spec, omega))
         gaps = np.linalg.norm(steps[block] - increments, axis=1)
         defect = max(defect, float(np.max(gaps)))

@@ -1,4 +1,5 @@
 import gc
+import json
 import importlib.util
 import pathlib
 import time
@@ -387,6 +388,21 @@ def test_classification_priority_and_threshold():
 def test_classify_rejects_complex_minors():
     with pytest.raises(NotRealError):
         classify([Series((1.0, 1e-3j))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_gives_no_verdict_on_non_finite_minors(bad):
+    verdict = classify([Series((1.0, 0.0, 0.0)), Series((bad, 2.0, 0.0))])
+    assert verdict.kind == "Inconclusive"
+    assert "non-finite coefficients in D_2 " in verdict.detail
+    assert verdict.leaders == () and verdict.zero_ratios == ()
+    assert verdict.imag_ratio is None
+    # What ``stability --format json`` prints of it is valid JSON.
+    json.dumps(
+        [verdict.leaders, verdict.zero_ratios, verdict.imag_ratio,
+         verdict.imag_tol, verdict.zero_tol, verdict.detail],
+        allow_nan=False,
+    )
 
 
 def test_classify_measures_imaginary_parts_against_each_minor():

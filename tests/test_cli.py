@@ -317,12 +317,61 @@ def test_out_of_range_arguments_exit_one(argv):
 
 
 def test_cli_import_leaves_out_the_integrator():
-    # Only the reference solver integrates, so commands that never call it
-    # should not pay for loading scipy.integrate at start-up.
-    code = "import sys, hfosc.cli; print('scipy.integrate' in sys.modules)"
+    # Commands that never integrate do not load the integrator, and the
+    # integrator is numpy alone: the commands that integrate load no scipy.
+    code = (
+        "import sys, hfosc.cli\n"
+        "print([m in sys.modules for m in ('hfosc.dop853', 'scipy.integrate')])"
+    )
     proc = _run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"
+
+    path = str(FIXTURES / "random_n3_m1.json")
+    code = (
+        "import contextlib, io, sys\n"
+        "from hfosc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([cmd, {path!r}]) for cmd in ('stability', 'validate', 'slope')]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = _run_python("-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
+def test_stalled_integration_exits_one_without_warnings(tmp_path):
+    # x2' = 1e5 x2 + 1 overflows within the period: every later step is
+    # non-finite and rejected until the step floor stops the integration.
+    spec = ProblemSpec(
+        n=2, m=0, A0=np.diag([0.0, 1e5]), B0=np.diag([-1.0, 0.0]),
+        d={0: [1.0, 1.0]}, real_mode=True,
+    )
+    proc = _run_module("stability", _write(tmp_path, spec), timeout=60)
+    assert proc.returncode == 1
+    assert "error: integration stalled" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    path = str(FIXTURES / "random_n3_m1.json")
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hfosc.cli", "evaluate", path, "--samples", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    try:
+        # Far more than a pipe holds stays unread once the reader is gone.
+        assert proc.stdout.readline().startswith("partial sum of order 2")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in stderr and "BrokenPipe" not in stderr
 
 
 def test_non_finite_document_exits_one(tmp_path, capsys):
