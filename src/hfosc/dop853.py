@@ -257,10 +257,11 @@ def _rms(v) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DenseOutput:
-    """The order-7 interpolant over every accepted step.
+    """The order-7 interpolant over every accepted step of a forward run.
 
-    ``t`` holds the step boundaries, ``y`` the states there (flattened),
-    ``coeffs`` the seven coefficient rows of each step's interpolant.
+    ``t`` holds the increasing step boundaries, ``y`` the states there
+    (flattened), ``coeffs`` the seven coefficient rows of each step's
+    interpolant.
     """
 
     t: np.ndarray
@@ -272,12 +273,7 @@ class DenseOutput:
         """States at any array of times, of shape (*shape(t), *state shape).
         A time on a step boundary is read from the step that starts there."""
         t = np.asarray(t, dtype=float)
-        steps = len(self.t) - 1
-        if self.t[-1] >= self.t[0]:
-            seg = np.searchsorted(self.t, t, side="right") - 1
-        else:
-            seg = steps - 1 - (np.searchsorted(self.t[::-1], t, side="left") - 1)
-        seg = np.clip(seg, 0, steps - 1)
+        seg = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
         x = ((t - self.t[seg]) / (self.t[seg + 1] - self.t[seg]))[..., None]
         out = np.zeros(t.shape + self.y.shape[1:], dtype=self.coeffs.dtype)
         for i in range(7):
@@ -290,59 +286,57 @@ class DenseOutput:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Result of ``solve``: the accepted step boundaries ``t``, the state
-    ``y`` at the last of them, the count of rejected steps, and the dense
-    output when it was asked for."""
+    ``y`` at the last of them, and the dense output when it was asked for."""
 
     t: np.ndarray
     y: np.ndarray
-    rejected: int
     dense: DenseOutput | None
 
 
-def _initial_step(field, t0, y0, f0, t1, max_step, rtol, atol) -> float:
+def _initial_step(field, t0, y0, f0, t1, max_step, tol) -> float:
     """Hairer's starting step: h0 from the sizes of y0 and y0', then a
-    bound from the change of y' over h0, for an error of order 7."""
+    bound from the change of y' over h0, for an error of order 7.  Sizes
+    that overflow or are NaN give a small or zero step, which the step loop
+    then raises to its floor or rejects."""
     direction = math.copysign(1.0, t1 - t0)
     span = abs(t1 - t0)
-    scale = atol + np.abs(y0) * rtol
+    scale = tol * (1 + np.abs(y0))
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not 0 < h0 < math.inf:
+        h0 = 1e-6
     h0 = min(h0, span)
     F1 = field(np.array([t0 + h0 * direction]))[0]
     f1 = apply(F1, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (-_EXPONENT)
+    d = max(d1, _rms((f1 - f0) / scale) / h0)
+    h1 = (0.01 / d) ** (-_EXPONENT) if d > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, span, max_step)
 
 
-def solve(field, y0, t0: float, t1: float, *, rtol: float, atol: float,
-          max_step: float, dense: bool = False) -> Trajectory:
+def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
+          dense: bool = False) -> Trajectory:
     """Integrate Y' = M(t) Y + f(t) e_k^T from (t0, y0) to t1, forward or
-    backward in time.
+    backward in time, each step within ``tol`` relative and absolute.
 
     ``y0`` is a vector (k = 1) or an n x k block; the result keeps its shape.
-    Raises StepFailure when the step size falls below 10 floating-point
-    spacings at the current time.
+    The dense output is for forward runs (t1 > t0).  Raises StepFailure when
+    the step size falls below 10 floating-point spacings at the current time.
     """
     y0 = np.asarray(y0, dtype=complex)
     n = y0.shape[0]
     Y = y0.reshape(n, -1).copy()
     if t1 == t0:
-        return Trajectory(np.array([t0], dtype=float), y0.copy(), 0, None)
+        return Trajectory(np.array([t0], dtype=float), y0.copy(), None)
     direction = math.copysign(1.0, t1 - t0)
     # Stage derivatives, one block per row; stage 0 is the derivative at t.
     K = np.empty((len(C), n, Y.shape[1]), dtype=complex)
     Kflat = K.reshape(len(C), -1)
     ts, ys, ks = [float(t0)], [Y], []
-    rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
         t = float(t0)
         f = apply(field(np.array([t]))[0], Y)
         finite = bool(np.isfinite(f).all())
-        h_abs = _initial_step(field, t, Y, f, t1, max_step, rtol, atol)
+        h_abs = _initial_step(field, t, Y, f, t1, max_step, tol)
         while direction * (t - t1) < 0:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs > max_step:
@@ -371,7 +365,7 @@ def solve(field, y0, t0: float, t1: float, *, rtol: float, atol: float,
                     K[s] = apply(F[s - 1], stage)
                 Y_new = Y + h * (B @ Kflat[:STAGES]).reshape(Y.shape)
                 K[STAGES] = apply(F[STAGES - 1], Y_new)
-                scale = atol + np.maximum(np.abs(Y), np.abs(Y_new)) * rtol
+                scale = tol * (1 + np.maximum(np.abs(Y), np.abs(Y_new)))
                 err5, err3 = np.linalg.norm(
                     (_E @ Kflat[: STAGES + 1]) / scale.reshape(-1), axis=1
                 ) ** 2
@@ -390,7 +384,6 @@ def solve(field, y0, t0: float, t1: float, *, rtol: float, atol: float,
                 factor = max(MIN_FACTOR, SAFETY * err**_EXPONENT) if finite else MIN_FACTOR
                 h_abs *= factor
                 after_rejection = True
-                rejected += 1
             t, Y, f = t_new, Y_new, K[STAGES].copy()
             ts.append(t)
             if dense:
@@ -398,7 +391,7 @@ def solve(field, y0, t0: float, t1: float, *, rtol: float, atol: float,
                 ks.append(K.copy())
         t_grid = np.array(ts)
         out = _dense_output(field, t_grid, ys, ks, y0.shape) if dense else None
-    return Trajectory(t_grid, Y.reshape(y0.shape), rejected, out)
+    return Trajectory(t_grid, Y.reshape(y0.shape), out)
 
 
 def _dense_output(field, t, ys, ks, shape) -> DenseOutput:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import BoundaryUndecidable, NonUniqueError
 from .model import ProblemSpec
 
-# Integrator accuracy (both rtol and atol).
+# Integrator accuracy per step, relative and absolute.
 INTEGRATOR_TOL = 1e-12
 
 # sigma_min(I - Phi) at or below this means the periodic solution is not
@@ -72,8 +72,7 @@ def _solve(spec, omega, y0, t0, t1, dense=False):
         y0,
         t0,
         t1,
-        rtol=INTEGRATOR_TOL,
-        atol=INTEGRATOR_TOL,
+        tol=INTEGRATOR_TOL,
         max_step=(2 * np.pi / omega) / 16,
         dense=dense,
     )

@@ -340,11 +340,13 @@ def test_cli_import_leaves_out_the_integrator():
     assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
-def test_stalled_integration_exits_one_without_warnings(tmp_path):
-    # x2' = 1e5 x2 + 1 overflows within the period: every later step is
+@pytest.mark.parametrize("rate", [1e5, 1e150])
+def test_stalled_integration_exits_one_without_warnings(tmp_path, rate):
+    # x2' = rate x2 + 1 overflows within the period: every later step is
     # non-finite and rejected until the step floor stops the integration.
+    # At 1e150 the starting-step estimate itself overflows.
     spec = ProblemSpec(
-        n=2, m=0, A0=np.diag([0.0, 1e5]), B0=np.diag([-1.0, 0.0]),
+        n=2, m=0, A0=np.diag([0.0, rate]), B0=np.diag([-1.0, 0.0]),
         d={0: [1.0, 1.0]}, real_mode=True,
     )
     proc = _run_module("stability", _write(tmp_path, spec), timeout=60)
