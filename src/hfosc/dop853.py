@@ -13,10 +13,18 @@ The right side is linear and non-autonomous.  An n x k block Y obeys
 
 the forcing f entering the last column only, and ``field(t)`` returns the
 stacked [M(t) | f(t)] of shape (*shape(t), n, n + 1) at an array of times.
+The state, its stages and the dense output take the dtype of the initial
+state and the field together: float64 for a real system with a real start.
 The field does not depend on the state, so the times t + c_i h of every
 stage are known before any stage is formed: one ``field`` call per attempted
 step serves all of its stages, and one call serves the three extra stages of
 every step's dense output.
+
+Every stage is linear in the state, so the steps of a block run, contracted
+with a vector z of length k, are the steps of the trajectory Y(t) z, which
+solves y' = M y + z_k f.  The dense output of a block run is formed that way:
+the run keeps the stages the interpolant reads, and ``StepRecord.along(z)``
+contracts them before it forms the three extra stages, at k = 1 cost.
 
 Step-size control, as in DOP853: the error norm combines the order-5 and
 order-3 estimates; a step is accepted when that norm is below 1, and the
@@ -199,7 +207,8 @@ _E = np.stack([E5, E3])
 
 # Dense output: the order-7 interpolant over a step has seven coefficient
 # rows; the first three come from the end values and slopes, these four
-# from all 16 stages (Hairer's d4*..d7*).
+# from all 16 stages (Hairer's d4*..d7*).  Stages 1..4 enter neither these
+# rows nor the extra stages, so a dense run keeps only the others.
 D = np.zeros((4, len(C)))
 D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
     (
@@ -236,6 +245,8 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
     ),
 )
 
+_KEPT = np.array([0, 5, 6, 7, 8, 9, 10, 11, 12])
+
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
@@ -257,21 +268,20 @@ def _rms(v) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DenseOutput:
-    """The order-7 interpolant over every accepted step of a forward run.
+    """The order-7 interpolant of one trajectory over every step of a forward
+    run.
 
-    ``t`` holds the increasing step boundaries, ``y`` the states there
-    (flattened), ``coeffs`` the seven coefficient rows of each step's
-    interpolant.
+    ``t`` holds the increasing step boundaries, ``y`` the states there,
+    ``coeffs`` the seven coefficient rows of each step's interpolant.
     """
 
     t: np.ndarray
     y: np.ndarray
     coeffs: np.ndarray
-    shape: tuple
 
     def __call__(self, t) -> np.ndarray:
-        """States at any array of times, of shape (*shape(t), *state shape).
-        A time on a step boundary is read from the step that starts there."""
+        """States at any array of times, of shape (*shape(t), n).  A time on
+        a step boundary is read from the step that starts there."""
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
         x = ((t - self.t[seg]) / (self.t[seg + 1] - self.t[seg]))[..., None]
@@ -280,17 +290,56 @@ class DenseOutput:
             out += self.coeffs[seg, 6 - i]
             out *= x if i % 2 == 0 else 1 - x
         out += self.y[seg]
-        return out.reshape(t.shape + self.shape)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class StepRecord:
+    """What a forward run keeps for its dense output: the step boundaries
+    ``t``, the n x k states ``y`` there, the ``stages`` of each step that
+    the interpolant reads (0 and 5..12), and ``extra_field``, the field at
+    each step's three extra stage times from one call at the end of the run.
+    Lists, not stacked arrays: stacking would copy the whole history."""
+
+    t: np.ndarray
+    y: list
+    stages: list
+    extra_field: np.ndarray
+
+    def along(self, z) -> DenseOutput:
+        """The interpolant of the trajectory Y(t) z on this run's steps.
+
+        The kept stages are contracted with z first, so the extra stages and
+        the coefficients are formed for one vector per step."""
+        z = np.asarray(z)
+        y = np.stack([Y @ z for Y in self.y])
+        h = np.diff(self.t)
+        K = np.zeros((len(h), len(C), y.shape[1]), dtype=np.result_type(y, self.extra_field))
+        K[:, _KEPT] = np.stack([k @ z for k in self.stages])
+        hv = h[:, None]
+        for j, s in enumerate(range(STAGES + 1, len(C))):
+            stage = y[:-1] + hv * (A[s, :s] @ K[:, :s])
+            F = self.extra_field[:, j]
+            K[:, s] = (F[..., :-1] @ stage[..., None])[..., 0] + z[-1] * F[..., -1]
+        dy = np.diff(y, axis=0)
+        f_old, f_new = K[:, 0], K[:, STAGES]
+        coeffs = np.empty((len(h), 7, dy.shape[1]), dtype=K.dtype)
+        coeffs[:, 0] = dy
+        coeffs[:, 1] = hv * f_old - dy
+        coeffs[:, 2] = 2 * dy - hv * (f_new + f_old)
+        coeffs[:, 3:] = h[:, None, None] * (D @ K)
+        return DenseOutput(t=self.t, y=y, coeffs=coeffs)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Result of ``solve``: the accepted step boundaries ``t``, the state
-    ``y`` at the last of them, and the dense output when it was asked for."""
+    ``y`` at the last of them, and the step record for dense output when it
+    was asked for."""
 
     t: np.ndarray
     y: np.ndarray
-    dense: DenseOutput | None
+    dense: StepRecord | None
 
 
 def _initial_step(field, t0, y0, f0, t1, max_step, tol) -> float:
@@ -318,23 +367,33 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
     """Integrate Y' = M(t) Y + f(t) e_k^T from (t0, y0) to t1, forward or
     backward in time, each step within ``tol`` relative and absolute.
 
-    ``y0`` is a vector (k = 1) or an n x k block; the result keeps its shape.
-    The dense output is for forward runs (t1 > t0).  Raises StepFailure when
-    the step size falls below 10 floating-point spacings at the current time.
+    ``y0`` is a vector (k = 1) or an n x k block; the result keeps its shape
+    and takes the dtype of ``y0`` and the field together.  ``dense`` asks a
+    forward run (t1 > t0) for a ``StepRecord``.  Raises ValueError for a
+    non-finite t0 or t1, a dense backward run, or a ``y0`` whose first axis
+    is not n, and StepFailure when the step size falls below 10
+    floating-point spacings at the current time.
     """
-    y0 = np.asarray(y0, dtype=complex)
-    n = y0.shape[0]
-    Y = y0.reshape(n, -1).copy()
-    if t1 == t0:
-        return Trajectory(np.array([t0], dtype=float), y0.copy(), None)
-    direction = math.copysign(1.0, t1 - t0)
-    # Stage derivatives, one block per row; stage 0 is the derivative at t.
-    K = np.empty((len(C), n, Y.shape[1]), dtype=complex)
-    Kflat = K.reshape(len(C), -1)
-    ts, ys, ks = [float(t0)], [Y], []
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0}, {t1}")
+    if dense and t1 < t0:
+        raise ValueError(f"dense output needs a forward run, got t0={t0} > t1={t1}")
+    y0 = np.asarray(y0)
     with np.errstate(over="ignore", invalid="ignore"):
+        F0 = field(np.array([t0], dtype=float))[0]
+        n = F0.shape[0]
+        if y0.ndim not in (1, 2) or y0.shape[0] != n:
+            raise ValueError(f"y0 must have shape (n,) or (n, k) with n = {n}, got {y0.shape}")
+        Y = y0.reshape(n, -1).astype(np.result_type(float, y0, F0))
+        if t1 == t0:
+            return Trajectory(np.array([t0], dtype=float), Y.reshape(y0.shape), None)
+        direction = math.copysign(1.0, t1 - t0)
+        # Stage derivatives, one block per row; stage 0 is the derivative at t.
+        K = np.empty((len(C),) + Y.shape, dtype=Y.dtype)
+        Kflat = K.reshape(len(C), -1)
+        ts, ys, ks = [float(t0)], [Y], []
         t = float(t0)
-        f = apply(field(np.array([t]))[0], Y)
+        f = apply(F0, Y)
         finite = bool(np.isfinite(f).all())
         h_abs = _initial_step(field, t, Y, f, t1, max_step, tol)
         while direction * (t - t1) < 0:
@@ -388,31 +447,11 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
             ts.append(t)
             if dense:
                 ys.append(Y)
-                ks.append(K.copy())
+                ks.append(K[_KEPT])
         t_grid = np.array(ts)
-        out = _dense_output(field, t_grid, ys, ks, y0.shape) if dense else None
-    return Trajectory(t_grid, Y.reshape(y0.shape), out)
-
-
-def _dense_output(field, t, ys, ks, shape) -> DenseOutput:
-    """The interpolant of every step, with the three extra stages of all
-    steps formed together from one ``field`` call."""
-    K = np.stack(ks)  # (steps, 16, n, k)
-    Y = np.stack(ys)  # (steps + 1, n, k)
-    h = np.diff(t)
-    hb = h[:, None, None]
-    F = field(t[:-1, None] + C[STAGES + 1 :] * h[:, None])  # (steps, 3, n, n + 1)
-    Kflat = K.reshape(K.shape[:2] + (-1,))
-    for j, s in enumerate(range(STAGES + 1, len(C))):
-        stage = Y[:-1] + (A[s, :s] @ Kflat[:, :s]).reshape(Y[:-1].shape) * hb
-        K[:, s] = apply(F[:, j], stage)
-    Yflat = Y.reshape(len(Y), -1)
-    dy = Yflat[1:] - Yflat[:-1]
-    f_old, f_new = Kflat[:, 0], Kflat[:, STAGES]
-    hv = h[:, None]
-    coeffs = np.empty((len(h), 7, dy.shape[1]), dtype=complex)
-    coeffs[:, 0] = dy
-    coeffs[:, 1] = hv * f_old - dy
-    coeffs[:, 2] = 2 * dy - hv * (f_new + f_old)
-    coeffs[:, 3:] = h[:, None, None] * (D @ Kflat)
-    return DenseOutput(t=t, y=Yflat, coeffs=coeffs, shape=shape)
+        record = None
+        if dense:
+            h = np.diff(t_grid)
+            extra = field(t_grid[:-1, None] + C[STAGES + 1 :] * h[:, None])
+            record = StepRecord(t=t_grid, y=ys, stages=ks, extra_field=extra)
+    return Trajectory(t_grid, Y.reshape(y0.shape), record)

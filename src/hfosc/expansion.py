@@ -181,5 +181,9 @@ def ode_residual(
         for k, lev in enumerate(exp.levels[: r + 1])
     )
     F = spec.field(taus, omega)
-    rhs = (F[..., : spec.n] @ S[..., None])[..., 0] + F[..., spec.n]
+    M = F[..., : spec.n]
+    # The real and imaginary parts apart: a real field times the complex sum
+    # would be upcast to a complex copy of the whole grid.
+    MS = M @ S.real[..., None] + 1j * (M @ S.imag[..., None])
+    rhs = MS[..., 0] + F[..., spec.n]
     return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

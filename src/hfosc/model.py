@@ -124,6 +124,27 @@ class TrigPoly:
         flat = phases @ self.data.reshape(len(self.data), -1)
         return flat.reshape(tau.shape + self.shape)
 
+    @cached_property
+    def _real_form(self) -> tuple:
+        """Re p(tau) = cos(k tau - s) @ a, a cos/sin basis as one cosine:
+        harmonics k = 0, 1..H, 1..H, shifts s = 0 then pi/2 for the sines,
+        and real coefficients a = c_0, Re(c_l + c_{-l}), Im(c_{-l} - c_l).
+        With c_{-l} = conj(c_l) these are c_0, 2 Re c_l and -2 Im c_l."""
+        H, data = self.H, self.data
+        plus, minus = data[H + 1 :], data[:H][::-1]
+        l = np.arange(1.0, H + 1)
+        k = np.concatenate([[0.0], l, l])
+        s = np.repeat([0.0, np.pi / 2], [H + 1, H])
+        a = np.concatenate([data[H : H + 1].real, (plus + minus).real, (minus - plus).imag])
+        return k, s, a.reshape(len(data), -1)
+
+    def real_values(self, tau) -> np.ndarray:
+        """The real part of ``self(tau)``, evaluated in real arithmetic; the
+        values themselves for a real polynomial, c_{-l} = conj(c_l)."""
+        tau = np.asarray(tau, dtype=float)
+        k, s, a = self._real_form
+        return (np.cos(tau[..., None] * k - s) @ a).reshape(tau.shape + self.shape)
+
     def mean(self) -> np.ndarray:
         return self.data[self.H]
 
@@ -258,15 +279,21 @@ class ProblemSpec:
         """The full forcing d_0 + sum_{l != 0} d_l e^{i l tau}."""
         return TrigPoly(self._stack.data[..., self.n])
 
+    def _stack_values(self, tau) -> np.ndarray:
+        """The stack at phase(s) tau: real for a real system, else complex."""
+        return self._stack.real_values(tau) if self.real_mode else self._stack(tau)
+
     def field(self, tau, omega) -> np.ndarray:
         """The right side [M(tau) + B0/omega | f(tau)] at phase(s) tau.
 
         Columns 0..n-1 hold the system matrix A0 + B0/omega + sum B_l
         e^{i l tau}, column n the forcing d_0 + sum d_l e^{i l tau}, so that
         x' = F[:, :n] x + F[:, n].  The matrix axes follow the axes of tau.
+        A real system gives a real array, evaluated in a cos/sin basis.
         """
-        F = self._stack(tau)
-        F[..., : self.n] += self.B0 / omega  # in place: on a phase grid F is big
+        F = self._stack_values(tau)
+        B0 = self.B0.real if self.real_mode else self.B0
+        F[..., : self.n] += B0 / omega  # in place: on a phase grid F is big
         return F
 
     def system_matrix(self, tau, omega) -> np.ndarray:
@@ -275,7 +302,7 @@ class ProblemSpec:
 
     def forcing(self, tau) -> np.ndarray:
         """d_0 + sum d_l e^{i l tau}: the last column of ``field``."""
-        return self._stack(tau)[..., self.n]
+        return self._stack_values(tau)[..., self.n]
 
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):

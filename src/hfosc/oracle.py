@@ -11,13 +11,16 @@ One right side serves every integration.  The package's own DOP853
 (``hfosc.dop853``, numpy only) advances an n x k state block Y at time t by
 (M(omega t) + B0/omega) Y with the forcing f(omega t) added to the last
 column, reading all of it from ``ProblemSpec.field``, once per step for all
-stages.  With k = 1 the block is one trajectory: the solution through a
-given state, and the dense pass that samples the periodic solution.  With
-k = n + 1 it is the fundamental system beside the forced response from zero,
-so the period map and the forced response share one step sequence.
-``_rhs`` applies the same right side to states at arrays of times, which is
-how the integral-form defect of the sampled solution evaluates all Gauss
-nodes of a block of sample intervals at once.
+stages; a real system is integrated in float64 throughout.  With k = 1 the
+block is one trajectory, the solution through a given state.  With k = n + 1
+it is the fundamental system beside the forced response from zero, the block
+[I | 0] that ends at [Phi | v].  One such pass per frequency serves
+everything: the period map, x0, and the periodic solution, read from the
+block's dense output contracted with z = [x0; 1].  Runge-Kutta steps are
+linear in the state, so that is the trajectory from x0 on the block's own
+steps.  ``_rhs`` applies the same right side to states at arrays of times,
+which is how the integral-form defect of the sampled solution evaluates all
+Gauss nodes of a block of sample intervals at once.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ def _solve(spec, omega, y0, t0, t1, dense=False):
 
 
 def integrate(spec: ProblemSpec, omega, x0, t0, t1):
-    """State at t1 of the solution through (t0, x0)."""
+    """State at t1 of the solution through (t0, x0).  Raises ValueError for
+    a non-finite t0 or t1 and for an x0 whose first axis is not n."""
     _check_omega(omega)
     return _solve(spec, omega, x0, t0, t1).y
 
@@ -87,16 +91,20 @@ def integrate(spec: ProblemSpec, omega, x0, t0, t1):
 def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
     """Period map Phi(T), T = 2 pi / omega, from the matrix equation."""
     _check_omega(omega)
-    Phi, _ = _transition_and_forced(spec, omega)
-    return Phi
+    return _period_pass(spec, omega).y[:, : spec.n]
 
 
-def _transition_and_forced(spec, omega):
-    """One pass for Phi(T) and the forced response from zero: the state is
-    the block [I | 0], whose last column alone picks up the forcing."""
+def _period_pass(spec, omega, dense=False):
+    """One pass over a period from the block [I | 0], whose last column alone
+    picks up the forcing: it ends at [Phi | v], the period map beside the
+    forced response from zero."""
     n = spec.n
-    YT = _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega).y
-    return YT[:, :n], YT[:, n]
+    return _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega, dense=dense)
+
+
+def _multipliers(Phi) -> np.ndarray:
+    """Eigenvalues of the period map, complex also when all are real."""
+    return np.linalg.eigvals(Phi).astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,11 +112,15 @@ class PeriodicOracleSolution:
     """Sampled periodic solution plus the period-map diagnostics.
 
     ``t`` holds n_samples + 1 equispaced times covering one closed period,
-    ``x`` the states at those times (last row returns to the first up to
-    ``periodicity_defect``).  ``ode_defect`` is the largest gap, over the
-    sample intervals, between the state increment and the quadrature of the
-    right-hand side along the dense solution: an integral-form residual
-    that is tolerance-limited rather than sampling-limited.
+    ``x`` the states at those times: the dense output of the period pass
+    from [I | 0], contracted with [x0; 1].  ``periodicity_defect`` is the
+    closure |x(T) - x0| of that trajectory, so it is the residual of the
+    solve (I - Phi) x0 = v, not a test of the integration.  That test is
+    ``ode_defect``, the largest gap, over the sample intervals, between the
+    state increment and the 10-point Gauss-Legendre quadrature of the right
+    side along x: it holds the integration error and the quadrature error,
+    which grows as the sample intervals widen.  Arrays are float64 for a
+    real system, complex otherwise.
     """
 
     omega: float
@@ -123,19 +135,15 @@ class PeriodicOracleSolution:
     unique_margin: float
 
 
-def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> PeriodicOracleSolution:
-    """The unique periodic solution, sampled over one period.
-
-    Raises NonUniqueError when the period map has 1 as an eigenvalue to
-    working precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
-    """
-    _check_omega(omega)
+def _fixed_point(spec, omega):
+    """Phi, x0, sigma_min(I - Phi) and the interpolant of the periodic
+    solution, all from one period pass.  The pass's step record is dropped
+    on return, before the caller's defect quadrature."""
     n = spec.n
-    T = 2 * np.pi / omega
-    Phi, forced = _transition_and_forced(spec, omega)
+    traj = _period_pass(spec, omega, dense=True)
+    Phi, forced = traj.y[:, :n], traj.y[:, n]
     gap = np.eye(n) - Phi
-    sigma = np.linalg.svd(gap, compute_uv=False)
-    unique_margin = float(sigma[-1])
+    unique_margin = float(np.linalg.svd(gap, compute_uv=False)[-1])
     if unique_margin <= UNIQUENESS_TOL:
         raise NonUniqueError(
             f"period map has a unit eigenvalue to tolerance "
@@ -143,12 +151,25 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
             f"the periodic solution is not unique"
         )
     x0 = np.linalg.solve(gap, forced)
+    return Phi, x0, unique_margin, traj.dense.along(np.append(x0, 1.0))
 
-    sol = _solve(spec, omega, x0, 0.0, T, dense=True)
+
+def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> PeriodicOracleSolution:
+    """The unique periodic solution, sampled over one period.
+
+    Raises ValueError unless n_samples is an integer >= 1, and
+    NonUniqueError when the period map has 1 as an eigenvalue to working
+    precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
+    """
+    _check_omega(omega)
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    T = 2 * np.pi / omega
+    Phi, x0, unique_margin, sol = _fixed_point(spec, omega)
     t = np.linspace(0.0, T, n_samples + 1)
-    x = sol.dense(t)
+    x = sol(t)
     x[0] = x0
-    periodicity_defect = float(np.linalg.norm(sol.y - x0))
+    periodicity_defect = float(np.linalg.norm(x[-1] - x0))
 
     mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
     steps = np.diff(x, axis=0)
@@ -156,7 +177,7 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
     for i in range(0, n_samples, _DEFECT_BLOCK):
         block = slice(i, i + _DEFECT_BLOCK)
         nodes = mids[block, None] + halves[block, None] * _GAUSS_X
-        states = sol.dense(nodes)
+        states = sol(nodes)
         increments = halves[block, None] * (_GAUSS_W @ _rhs(nodes, states, spec, omega))
         gaps = np.linalg.norm(steps[block] - increments, axis=1)
         defect = max(defect, float(np.max(gaps)))
@@ -168,7 +189,7 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
         x=x,
         x0=x0,
         monodromy=Phi,
-        multipliers=np.linalg.eigvals(Phi),
+        multipliers=_multipliers(Phi),
         periodicity_defect=periodicity_defect,
         ode_defect=defect,
         unique_margin=unique_margin,
@@ -192,7 +213,7 @@ def floquet_verdict(spec: ProblemSpec, omega) -> FloquetVerdict:
     resolution of the computed period map.
     """
     Phi = monodromy(spec, omega)
-    mult = np.linalg.eigvals(Phi)
+    mult = _multipliers(Phi)
     margin = float(np.max(np.abs(mult)) - 1.0)
     if margin > UNIT_BAND:
         return FloquetVerdict(kind="Unstable", margin=margin, multipliers=mult)

@@ -26,6 +26,13 @@ def test_error_weights_sum_to_zero():
     assert abs(dop853.E3.sum()) < 1e-14
 
 
+def test_dense_output_needs_only_the_kept_stages():
+    dropped = np.setdiff1d(np.arange(len(dop853.C)), dop853._KEPT)
+    assert list(dropped) == [1, 2, 3, 4, 13, 14, 15]
+    assert not np.any(dop853.A[dop853.STAGES + 1 :, dropped[:4]])
+    assert not np.any(dop853.D[:, dropped[:4]])
+
+
 def _reference(spec, omega, y0, T, dense=False):
     return solve_ivp(
         _rhs, (0.0, T), np.asarray(y0, dtype=complex).reshape(-1),
@@ -114,3 +121,46 @@ def test_non_finite_field_stalls_with_step_failure():
         dop853.solve(field, [1.0], 0.0, 1.0, tol=1e-12, max_step=0.1)
     assert "non-finite" in str(info.value)
     assert 0.49 < info.value.t < 0.5
+
+
+def test_block_contracted_with_z_is_the_trajectory_from_its_start():
+    # The dense output of [I | 0] along [x0; 1] and a vector run from x0.
+    spec = fixtures.random_admissible(seed=5, n=4, m=2)
+    omega = 60.0
+    T = 2 * np.pi / omega
+
+    def field(t):
+        return spec.field(omega * t, omega)
+
+    x0 = np.linspace(-1.0, 1.0, 4)
+    block = dop853.solve(field, np.eye(4, 5), 0.0, T, tol=INTEGRATOR_TOL,
+                         max_step=T / 16, dense=True)
+    vector = dop853.solve(field, x0, 0.0, T, tol=INTEGRATOR_TOL,
+                          max_step=T / 16, dense=True)
+    t = np.linspace(0.0, T, 50)
+    along = block.dense.along(np.append(x0, 1.0))
+    assert along(t).dtype == np.float64
+    assert np.allclose(along(t), vector.dense.along([1.0])(t), rtol=0, atol=1e-11)
+    assert np.allclose(along(T), block.y @ np.append(x0, 1.0), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (np.inf, 1.0), (0.0, -np.inf)])
+def test_solve_needs_finite_times(t0, t1):
+    with pytest.raises(ValueError, match="finite"):
+        dop853.solve(lambda t: np.zeros(np.shape(t) + (1, 2)), [1.0], t0, t1,
+                     tol=1e-12, max_step=0.1)
+
+
+def test_dense_output_needs_a_forward_run():
+    field = lambda t: np.full(np.shape(t) + (1, 2), -1.0)  # noqa: E731
+    with pytest.raises(ValueError, match="forward"):
+        dop853.solve(field, [1.0], 1.0, 0.0, tol=1e-12, max_step=0.1, dense=True)
+    back = dop853.solve(field, [1.0], 1.0, 0.0, tol=1e-12, max_step=0.1)
+    assert back.dense is None and back.y[0] == pytest.approx(2 * np.e - 1, rel=1e-10)
+
+
+def test_solve_needs_a_state_of_the_field_dimension():
+    field = lambda t: np.zeros(np.shape(t) + (2, 3))  # noqa: E731
+    for y0 in ([1.0], np.ones((3, 2)), 1.0):
+        with pytest.raises(ValueError, match="n = 2"):
+            dop853.solve(field, y0, 0.0, 1.0, tol=1e-12, max_step=0.1)

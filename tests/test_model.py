@@ -308,6 +308,18 @@ def test_matrix_poly_mean_picks_the_zero_harmonic():
     assert np.allclose(a.mean(), quad, atol=1e-13)
 
 
+def test_real_values_are_the_real_part_in_real_arithmetic():
+    rng = np.random.default_rng(21)
+    taus = rng.uniform(-10.0, 10.0, size=(4, 5))
+    general = _random_vec_poly(rng)  # c_{-l} unrelated to c_l
+    real = general + TrigPoly(np.conj(general.data[::-1]))
+    for poly in (general, real, TrigPoly.constant(np.arange(3.0) + 1j)):
+        got = poly.real_values(taus)
+        assert got.dtype == np.float64 and got.shape == (4, 5, 3)
+        assert np.allclose(got, poly(taus).real, rtol=0, atol=1e-13)
+    assert np.max(np.abs(real(taus).imag)) < 1e-13
+
+
 def test_system_matrix_and_forcing():
     spec = fixtures.random_admissible(2, n=3, m=2, s=1)
     tau, omega = 0.7, 55.0

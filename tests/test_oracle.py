@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hfosc import fixtures
+from hfosc import dop853, fixtures
 from hfosc.errors import BoundaryUndecidable, NonUniqueError
 from hfosc.expansion import expand
 from hfosc.model import ProblemSpec
@@ -127,14 +129,63 @@ def test_periodic_solution_invariants():
 def test_real_systems_give_conjugate_multipliers():
     spec = fixtures.random_admissible(seed=4, n=4, m=1, s=2)
     ps = periodic_solution(spec, 60.0, n_samples=32)
-    assert float(np.max(np.abs(ps.monodromy.imag))) < 1e-9
-    assert float(np.max(np.abs(ps.x.imag))) < 1e-9 * float(np.max(np.abs(ps.x)))
-    # Pair each multiplier with its nearest unused conjugate; sorting both
-    # lists would pair wrongly when a pair's real parts differ by rounding.
-    partners = list(np.conj(ps.multipliers))
-    for z in ps.multipliers:
-        k = int(np.argmin(np.abs(np.array(partners) - z)))
-        assert np.isclose(partners.pop(k), z, atol=1e-9)
+    # Real arithmetic throughout: float64 states and period map, and
+    # eigenvalues of a real matrix come in exact conjugate pairs.
+    assert ps.x.dtype == ps.x0.dtype == ps.monodromy.dtype == np.float64
+    assert monodromy(spec, 60.0).dtype == np.float64
+    assert ps.multipliers.dtype == np.complex128
+    assert np.any(ps.multipliers.imag != 0)
+    assert np.array_equal(
+        np.sort_complex(ps.multipliers), np.sort_complex(np.conj(ps.multipliers))
+    )
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (6, 2), (12, 3)])
+def test_real_arithmetic_matches_the_complex_path(n, m):
+    spec = fixtures.random_admissible(seed=7, n=n, m=m)
+    as_complex = dataclasses.replace(spec, real_mode=False)
+    omega = 90.0
+    real, cplx = periodic_solution(spec, omega), periodic_solution(as_complex, omega)
+    assert cplx.x.dtype == cplx.monodromy.dtype == np.complex128
+    gap = np.max(np.abs(real.monodromy - cplx.monodromy))
+    assert gap <= 1e-12 * np.max(np.abs(cplx.monodromy))
+    assert np.max(np.abs(real.x - cplx.x)) <= 1e-10
+
+
+def test_periodic_solution_integrates_once(monkeypatch):
+    calls = []
+    solve = dop853.solve
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dop853, "solve", counted)
+    periodic_solution(fixtures.random_admissible(seed=2, n=5, m=2), 70.0)
+    assert calls == [(5, 6)]
+
+
+def test_periodic_solution_memory_stays_flat():
+    # The step record holds only the stages the interpolant reads, and is
+    # dropped before the defect quadrature; a record of every full stage
+    # would take about 10 MB here.
+    spec = fixtures.random_admissible(seed=1, n=24, m=4)
+    periodic_solution(spec, 200.0)  # caches, imports
+    tracemalloc.start()
+    try:
+        periodic_solution(spec, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
+@pytest.mark.parametrize("n_samples", [0, -1, True, 2.5, "8", None])
+def test_periodic_solution_needs_a_positive_integer_sample_count(n_samples):
+    spec = fixtures.random_admissible(seed=1, n=3, m=1)
+    with pytest.raises(ValueError, match="n_samples"):
+        periodic_solution(spec, 50.0, n_samples=n_samples)
+    assert len(periodic_solution(spec, 50.0, n_samples=np.int64(3)).t) == 4
 
 
 def test_floquet_separates_the_borderline_pair():
@@ -214,3 +265,18 @@ def test_integrators_need_a_positive_finite_frequency(omega):
     ):
         with pytest.raises(ValueError, match="omega"):
             call()
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.inf, 0.5), (0.0, -math.inf)])
+def test_integrate_needs_finite_times(t0, t1):
+    spec = fixtures.random_admissible(seed=1, n=3, m=1)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(spec, 50.0, np.ones(3), t0, t1)
+
+
+@pytest.mark.parametrize("x0", [np.ones(4), np.ones((2, 3)), np.float64(1.0)])
+def test_integrate_needs_a_state_of_dimension_n(x0):
+    spec = fixtures.random_admissible(seed=1, n=3, m=1)
+    for t1 in (0.1, 0.0):
+        with pytest.raises(ValueError, match="n = 3"):
+            integrate(spec, 50.0, x0, 0.0, t1)
