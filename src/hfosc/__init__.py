@@ -9,6 +9,7 @@ from .errors import (
     DegenerateError,
     HfoscError,
     NoKernelError,
+    NonFiniteError,
     NonUniqueError,
     NotRealError,
     SchemaError,
@@ -76,6 +77,7 @@ __all__ = [
     "HfoscError",
     "KernelData",
     "NoKernelError",
+    "NonFiniteError",
     "NonUniqueError",
     "NotRealError",
     "ProblemSpec",

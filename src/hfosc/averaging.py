@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRealError
+from .errors import NotRealError, check_finite
 from .model import ProblemSpec, TrigPoly
 from .spectral import numerical_rank
 
@@ -123,21 +123,24 @@ class Series:
 
 
 def kb_transform(spec: ProblemSpec, trunc: int):
-    """Averaged-matrix series and the transformation terms U_1..U_trunc."""
+    """Averaged-matrix series and the transformation terms U_1..U_trunc.
+    Raises NonFiniteError when an order overflows."""
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
     stationary = spec.osc_matrix() + spec.A0
     U = [TrigPoly.constant(np.eye(spec.n))]
     A_list = []
-    for k in range(trunc + 1):
-        G = stationary @ U[k]
-        if k >= 1:
-            G = G + spec.B0 @ U[k - 1]
-        for j in range(1, k + 1):
-            G = G - U[j] @ A_list[k - j]
-        A_list.append(G.mean())
-        if k < trunc:
-            U.append((G - G.mean()).antiderivative())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(trunc + 1):
+            G = stationary @ U[k]
+            if k >= 1:
+                G = G + spec.B0 @ U[k - 1]
+            for j in range(1, k + 1):
+                G = G - U[j] @ A_list[k - j]
+            check_finite(f"order {k} of the averaging transform", G.data)
+            A_list.append(G.mean())
+            if k < trunc:
+                U.append((G - G.mean()).antiderivative())
     return Series(A_list), U[1:]
 
 
@@ -311,9 +314,10 @@ class StabilityVerdict:
     leaders exist and are positive, "Unstable" when any leader is negative,
     and "Inconclusive" when a minor vanished identically (no finite
     truncation can settle it), when a minor has a non-finite coefficient, or
-    when ``analyze_stability`` found the characteristic series too inexact
-    for minors; in the last two cases ``leaders`` and ``zero_ratios`` are
-    empty and ``imag_ratio`` is None.
+    when ``analyze_stability`` found the characteristic series or the minors
+    of a real system too inexact; in these last cases ``leaders`` and
+    ``zero_ratios`` are empty, and ``imag_ratio`` is None unless the minors'
+    imaginary parts were what failed.
 
     The measured quantities stand next to their thresholds: ``imag_ratio``
     is the largest imaginary part of any minor relative to that minor's
@@ -332,6 +336,20 @@ class StabilityVerdict:
     zero_ratios: tuple
 
 
+def _minor_scale(coeffs) -> float:
+    return max(float(np.max(np.abs(coeffs))), 1.0)
+
+
+def _imag_ratio(minors: list, trunc: int) -> float:
+    """The largest imaginary part of any minor through ``trunc``, relative to
+    that minor's scale: its coefficients reach 1e12 and more for n >= 9,
+    where rounding alone leaves imaginary parts above 1e-6."""
+    return max(
+        float(np.max(np.abs(mnr.coeffs[: trunc + 1].imag))) / _minor_scale(mnr.coeffs[: trunc + 1])
+        for mnr in minors
+    )
+
+
 def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
     """Sign-of-leading-coefficient test on the Hurwitz minor series."""
     if not minors:
@@ -346,25 +364,22 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
             "invalid arithmetic): no sign test",
             imag_ratio=None, imag_tol=IMAG_TOL, zero_ratios=(),
         )
-    leaders = []
-    zero_ratios = []
-    notes = []
-    worst_imag = 0.0
-    for mnr in minors:
-        coeffs = mnr.coeffs[: trunc + 1]
-        scale = max(float(np.max(np.abs(coeffs))), 1.0)
-        # Relative to the minor's size: its coefficients reach 1e12 and more
-        # for n >= 9, where rounding alone leaves imaginary parts above 1e-6.
-        worst_imag = max(worst_imag, float(np.max(np.abs(coeffs.imag))) / scale)
-        big = np.flatnonzero(np.abs(coeffs) > zero_tol * scale)
-        lead = int(big[0]) if len(big) else len(coeffs)
-        leaders.append((lead, float(coeffs[lead].real)) if len(big) else None)
-        zero_ratios.append(float(np.abs(coeffs[:lead]).max(initial=0.0)) / scale)
+    worst_imag = _imag_ratio(minors, trunc)
     if worst_imag > IMAG_TOL:
         raise NotRealError(
             f"Hurwitz minors have imaginary parts up to {worst_imag:.3e} of their "
             f"largest coefficient; the sign test needs a real system"
         )
+    leaders = []
+    zero_ratios = []
+    notes = []
+    for mnr in minors:
+        coeffs = mnr.coeffs[: trunc + 1]
+        scale = _minor_scale(coeffs)
+        big = np.flatnonzero(np.abs(coeffs) > zero_tol * scale)
+        lead = int(big[0]) if len(big) else len(coeffs)
+        leaders.append((lead, float(coeffs[lead].real)) if len(big) else None)
+        zero_ratios.append(float(np.abs(coeffs[:lead]).max(initial=0.0)) / scale)
     kind = "Stable"
     for j, leader in enumerate(leaders, start=1):
         if leader is not None and leader[1] < 0:
@@ -403,6 +418,8 @@ def analyze_stability(
     With s zero eigenvalues at the rank cut, alpha_{n-s+1}..alpha_n have no
     constant term; rounding left there above ``zero_tol`` of the alpha's
     largest coefficient (n >= 28) would pass for a leader: Inconclusive.
+    So are minors whose imaginary parts, rounding in a real system, exceed
+    ``IMAG_TOL`` of their scale, where ``classify`` would raise NotRealError.
     """
     if not spec.real_mode:
         raise NotRealError("stability series test requires real_mode")
@@ -423,4 +440,19 @@ def analyze_stability(
             kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
             detail=detail, imag_ratio=None, imag_tol=IMAG_TOL, zero_ratios=(),
         )
-    return classify(hurwitz_series(alphas), zero_tol=zero_tol)
+    minors = hurwitz_series(alphas)
+    try:
+        return classify(minors, zero_tol=zero_tol)
+    except NotRealError:
+        # A real system's minors are real: the imaginary parts they keep are
+        # rounding, and above IMAG_TOL they leave the minors too inexact.
+        imag = _imag_ratio(minors, min(mnr.trunc for mnr in minors))
+    detail = (
+        f"Hurwitz minors of this real system keep imaginary parts up to {imag:.3e} "
+        f"of their largest coefficient from rounding, above imag_tol {IMAG_TOL:g}: "
+        f"too inexact for the sign test"
+    )
+    return StabilityVerdict(
+        kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
+        detail=detail, imag_ratio=imag, imag_tol=IMAG_TOL, zero_ratios=(),
+    )

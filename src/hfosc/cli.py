@@ -321,7 +321,13 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         return EXIT_NONUNIQUE, f"error: {exc}"
     except HfoscError as exc:
         return EXIT_INPUT, f"error: {exc}"
-    text = json.dumps(doc, indent=2) if args.format == "json" else "\n".join(lines)
+    if args.format == "text":
+        return (EXIT_OK if ok else EXIT_INPUT), "\n".join(lines)
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        # Backstop: a non-finite number no check caught is not valid JSON.
+        return EXIT_INPUT, "error: the report holds a non-finite number (floating-point overflow)"
     return (EXIT_OK if ok else EXIT_INPUT), text
 
 

@@ -20,6 +20,14 @@ stage are known before any stage is formed: one ``field`` call per attempted
 step serves all of its stages, and one call serves the three extra stages of
 every step's dense output.
 
+A step runs on one buffer Z: row 0 is the state, row 1 + j the derivative
+of stage j.  With the rows W = [1 | h A] of the tableau, scaled by h once
+per attempted step, the state of stage s is W[s, :s+1] @ Z[:s+1], and it is
+written into the first n rows of an augmented block whose last row is
+e_k^T, so that [M | f] times that block is M Y + f e_k^T.  Each stage is
+thus two numpy products, and the two error norms come from one reduction:
+the interpreter, not arithmetic, bounds the cost of a step at these sizes.
+
 Every stage is linear in the state, so the steps of a block run, contracted
 with a vector z of length k, are the steps of the trajectory Y(t) z, which
 solves y' = M y + z_k f.  The dense output of a block run is formed that way:
@@ -205,6 +213,11 @@ E3[8] -= 0.733846688281611857341361741547
 E3[11] -= 0.220588235294117647058823529412e-1
 _E = np.stack([E5, E3])
 
+# The stage rows of A and the weights b, which ``solve`` scales by h, and
+# the stage nodes c_1..c_12 at which it reads the field.
+_AB = A[: STAGES + 1, :STAGES]
+_C_STEP = C[1 : STAGES + 1]
+
 # Dense output: the order-7 interpolant over a step has seven coefficient
 # rows; the first three come from the end values and slopes, these four
 # from all 16 stages (Hairer's d4*..d7*).  Stages 1..4 enter neither these
@@ -246,6 +259,7 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
 )
 
 _KEPT = np.array([0, 5, 6, 7, 8, 9, 10, 11, 12])
+_KEPT_ROWS = 1 + _KEPT  # their rows in the step buffer of ``solve``
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -283,12 +297,16 @@ class DenseOutput:
         """States at any array of times, of shape (*shape(t), n).  A time on
         a step boundary is read from the step that starts there."""
         t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
+        # The step of each time, counting only interior boundaries: times
+        # before the first or after the last step belong to that step.
+        seg = np.searchsorted(self.t[1:-1], t, side="right")
         x = ((t - self.t[seg]) / (self.t[seg + 1] - self.t[seg]))[..., None]
-        out = np.zeros(t.shape + self.y.shape[1:], dtype=self.coeffs.dtype)
-        for i in range(7):
-            out += self.coeffs[seg, 6 - i]
-            out *= x if i % 2 == 0 else 1 - x
+        coeffs = self.coeffs[seg]
+        factors = (x, 1 - x)
+        out = coeffs[..., 6, :] * x
+        for i in range(1, 7):
+            out += coeffs[..., 6 - i, :]
+            out *= factors[i % 2]
         out += self.y[seg]
         return out
 
@@ -388,14 +406,34 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
         if t1 == t0:
             return Trajectory(np.array([t0], dtype=float), Y.reshape(y0.shape), None)
         direction = math.copysign(1.0, t1 - t0)
-        # Stage derivatives, one block per row; stage 0 is the derivative at t.
-        K = np.empty((len(C),) + Y.shape, dtype=Y.dtype)
-        Kflat = K.reshape(len(C), -1)
+        # Z holds the state (row 0) and the derivative of stage j (row 1 + j)
+        # as n x k blocks; a stage's state is W[s, :s+1] @ Z[:s+1] with the
+        # rows W = [1 | h A] of the step.  The stage state sits in the first
+        # n rows of Xa, whose last row is e_k^T, so [M | f] @ Xa is the
+        # right side with the forcing in the last column.  The field of a
+        # step is copied into Fbuf, so that the views of every stage's
+        # operands are formed once per run, not per step.
+        Z = np.empty((STAGES + 2,) + Y.shape, dtype=Y.dtype)
+        Zflat = Z.reshape(STAGES + 2, -1)
+        W = np.ones((STAGES + 1, STAGES + 1))
+        Xa = np.zeros((n + 1, Y.shape[1]), dtype=Y.dtype)
+        Xa[n, -1] = 1.0
+        X, Xflat = Xa[:n], Xa[:n].reshape(-1)
+        Fbuf = np.empty((STAGES,) + F0.shape, dtype=F0.dtype)
+        e = np.empty((2, Y.size), dtype=Y.dtype)
+        ev = e.view(np.float64)  # complex entries as (re, im) pairs
+        derivs = Zflat[1:]
+        stages = [
+            (W[s, : s + 1], Zflat[: s + 1], Fbuf[s - 1], Z[s + 1])
+            for s in range(1, STAGES + 1)
+        ]
+        Z[0] = Y
+        Z[1] = apply(F0, Y)
         ts, ys, ks = [float(t0)], [Y], []
         t = float(t0)
-        f = apply(F0, Y)
-        finite = bool(np.isfinite(f).all())
-        h_abs = _initial_step(field, t, Y, f, t1, max_step, tol)
+        finite = bool(np.isfinite(Z[1]).all())
+        h_abs = _initial_step(field, t, Y, Z[1], t1, max_step, tol)
+        absY = np.abs(Y).reshape(-1)
         while direction * (t - t1) < 0:
             min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs > max_step:
@@ -417,22 +455,24 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
                     t_new = t1
                 h = t_new - t
                 h_abs = abs(h)
-                F = field(t + C[1 : STAGES + 1] * h)
-                K[0] = f
-                for s in range(1, STAGES):
-                    stage = Y + (A[s, :s] @ Kflat[:s]).reshape(Y.shape) * h
-                    K[s] = apply(F[s - 1], stage)
-                Y_new = Y + h * (B @ Kflat[:STAGES]).reshape(Y.shape)
-                K[STAGES] = apply(F[STAGES - 1], Y_new)
-                scale = tol * (1 + np.maximum(np.abs(Y), np.abs(Y_new)))
-                err5, err3 = np.linalg.norm(
-                    (_E @ Kflat[: STAGES + 1]) / scale.reshape(-1), axis=1
-                ) ** 2
+                np.copyto(Fbuf, field(t + _C_STEP * h))
+                np.multiply(_AB, h, out=W[:, 1:])
+                # Stages 1..11, then the new state and its derivative (12).
+                for w, head, F, out in stages:
+                    np.dot(w, head, out=Xflat)
+                    np.dot(F, Xa, out=out)
+                absX = np.abs(Xflat)
+                scale = np.maximum(absY, absX)
+                scale += 1.0
+                scale *= tol
+                np.dot(_E, derivs, out=e)
+                e /= scale
+                err5, err3 = np.einsum("ij,ij->i", ev, ev).tolist()
                 if err5 == 0 and err3 == 0:
                     err = 0.0
                 else:
                     err = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * Y.size)
-                finite = math.isfinite(err) and bool(np.isfinite(Y_new).all())
+                finite = math.isfinite(err) and bool(np.isfinite(X).all())
                 if finite and err < 1:
                     factor = MAX_FACTOR if err == 0 else min(
                         MAX_FACTOR, SAFETY * err**_EXPONENT)
@@ -443,11 +483,14 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
                 factor = max(MIN_FACTOR, SAFETY * err**_EXPONENT) if finite else MIN_FACTOR
                 h_abs *= factor
                 after_rejection = True
-            t, Y, f = t_new, Y_new, K[STAGES].copy()
+            t, absY = t_new, absX
             ts.append(t)
             if dense:
-                ys.append(Y)
-                ks.append(K[_KEPT])
+                ys.append(X.copy())
+                ks.append(Z[_KEPT_ROWS])
+            Z[0] = X
+            Z[1] = Z[STAGES + 1]
+        Y = Z[0].copy()
         t_grid = np.array(ts)
         record = None
         if dense:

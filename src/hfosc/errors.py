@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class HfoscError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,3 +46,16 @@ class NonUniqueError(HfoscError):
 class BoundaryUndecidable(HfoscError):
     """A characteristic multiplier sits on the unit circle with suspected
     defective structure; neither stability verdict is trustworthy."""
+
+
+class NonFiniteError(HfoscError):
+    """Derived data overflowed to inf or NaN: the problem's entries are too
+    large for floating-point arithmetic."""
+
+
+def check_finite(what: str, *values) -> None:
+    """Raise NonFiniteError naming ``what`` unless every value is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteError(
+            f"{what} is not finite (floating-point overflow); rescale the problem"
+        )

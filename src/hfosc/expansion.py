@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite
 from .model import ProblemSpec, TrigPoly
 from .spectral import KernelData, compute_kernel_data
 
@@ -96,6 +97,8 @@ def expand(
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
     kernel, left = kd.kernel, kd.left_kernel
     B_osc = spec.osc_matrix()
+    # d^-1(B_osc v) = (d^-1 B_osc) v for a constant v.
+    B_int = B_osc.antiderivative()
     M = B_osc + spec.A0
 
     def close_level(theta):
@@ -106,31 +109,37 @@ def expand(
         defect = float(np.max(np.abs(left.conj().T @ g)))
         return coeff, v, -(kd.restricted_inverse @ g), defect
 
-    theta = spec.d0.astype(complex)
-    leading, v, x, lead_defect = close_level(theta)
-    beta = y_prev = TrigPoly.constant(np.zeros(spec.n))
-    y = (B_osc @ v).antiderivative()
     levels = []
-    for p in range(1, order + 2):
-        g = M @ (y + x) + spec.B0 @ y_prev
-        if p == 1:
-            g = g + spec.forcing_poly()
-        beta_p = (g - g.mean()).antiderivative()
-        theta_p = spec.B0 @ x + (B_osc @ beta_p).mean()
-        coeff, v, x_p, defect = close_level(theta_p)
-        levels.append(
-            ExpansionLevel(
-                mean=x,
-                kernel_coeff=coeff,
-                osc=y,
-                harmonics=beta,
-                forcing=theta,
-                harmonic_mass=float(np.sum(np.linalg.norm(beta.data, axis=-1))),
-                solvability_defect=defect,
+    # Overflow is checked once per level, on g (which every earlier
+    # quantity feeds) and the harmonic mass, and last on the final level.
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = spec.d0.astype(complex)
+        leading, v, x, lead_defect = close_level(theta)
+        beta = y_prev = TrigPoly.constant(np.zeros(spec.n))
+        y = B_int @ v
+        for p in range(1, order + 2):
+            g = M @ (y + x) + spec.B0 @ y_prev
+            if p == 1:
+                g = g + spec.forcing_poly()
+            mass = float(np.sum(np.linalg.norm(beta.data, axis=-1)))
+            check_finite(f"order {p} of the expansion", g.data, mass)
+            beta_p = (g - g.mean()).antiderivative()
+            theta_p = spec.B0 @ x + (B_osc @ beta_p).mean()
+            coeff, v, x_p, defect = close_level(theta_p)
+            levels.append(
+                ExpansionLevel(
+                    mean=x,
+                    kernel_coeff=coeff,
+                    osc=y,
+                    harmonics=beta,
+                    forcing=theta,
+                    harmonic_mass=mass,
+                    solvability_defect=defect,
+                )
             )
-        )
-        y_prev, y = y, beta_p + (B_osc @ v).antiderivative()
-        x, beta, theta = x_p, beta_p, theta_p
+            y_prev, y = y, beta_p + B_int @ v
+            x, beta, theta = x_p, beta_p, theta_p
+    check_finite(f"order {order + 1} of the expansion", coeff, defect)
     return AsymptoticExpansion(
         order=order,
         m=spec.m,

@@ -117,13 +117,6 @@ class TrigPoly:
         """i l for each row; cached because the integrators evaluate often."""
         return 1j * np.arange(-self.H, self.H + 1)
 
-    def __call__(self, tau):
-        """Evaluate at phase(s) tau; the value axes follow the axes of tau."""
-        tau = np.asarray(tau, dtype=float)
-        phases = np.exp(tau[..., None] * self._rates)
-        flat = phases @ self.data.reshape(len(self.data), -1)
-        return flat.reshape(tau.shape + self.shape)
-
     @cached_property
     def _real_form(self) -> tuple:
         """Re p(tau) = cos(k tau - s) @ a, a cos/sin basis as one cosine:
@@ -138,12 +131,39 @@ class TrigPoly:
         a = np.concatenate([data[H : H + 1].real, (plus + minus).real, (minus - plus).imag])
         return k, s, a.reshape(len(data), -1)
 
+    def sampler(self, rate: float = 1.0, real: bool = False, offset=None) -> "Sampler":
+        """t -> p(rate * t) + offset, with its rates and coefficients formed
+        once for a caller that evaluates it often.  ``real`` samples the real
+        part in the cos/sin basis of ``_real_form``, in real arithmetic;
+        ``offset`` (of the value shape, real when ``real``) is folded into
+        the constant term."""
+        if real:
+            k, shifts, coeffs = self._real_form
+            rates, const = rate * k, 0
+        else:
+            rates, shifts = rate * self._rates, None
+            coeffs, const = self.data.reshape(len(self.data), -1), self.H
+        if offset is not None:
+            coeffs = coeffs.copy()
+            coeffs[const] += np.reshape(offset, -1)
+        return Sampler(rates, shifts, coeffs, self.shape)
+
+    @cached_property
+    def _values(self) -> "Sampler":
+        return self.sampler()
+
+    @cached_property
+    def _real_values(self) -> "Sampler":
+        return self.sampler(real=True)
+
+    def __call__(self, tau):
+        """Evaluate at phase(s) tau; the value axes follow the axes of tau."""
+        return self._values(tau)
+
     def real_values(self, tau) -> np.ndarray:
         """The real part of ``self(tau)``, evaluated in real arithmetic; the
         values themselves for a real polynomial, c_{-l} = conj(c_l)."""
-        tau = np.asarray(tau, dtype=float)
-        k, s, a = self._real_form
-        return (np.cos(tau[..., None] * k - s) @ a).reshape(tau.shape + self.shape)
+        return self._real_values(tau)
 
     def mean(self) -> np.ndarray:
         return self.data[self.H]
@@ -218,6 +238,31 @@ class TrigPoly:
 
 
 @dataclass(frozen=True, eq=False)
+class Sampler:
+    """A trigonometric sum at times t: ``basis(t) @ coeffs``, reshaped to
+    (*shape(t), *shape).  The basis is exp(t * rates) (complex rates), or
+    cos(t * rates - shifts) for the real form, where shifts of pi/2 make the
+    sines; ``coeffs`` holds one flattened value per basis term."""
+
+    rates: np.ndarray
+    shifts: np.ndarray | None
+    coeffs: np.ndarray
+    shape: tuple
+
+    def basis(self, t) -> np.ndarray:
+        """The basis terms at times t, of shape (*shape(t), terms)."""
+        arg = np.multiply.outer(t, self.rates)
+        if self.shifts is None:
+            return np.exp(arg)
+        arg -= self.shifts
+        return np.cos(arg, out=arg)
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return (self.basis(t) @ self.coeffs).reshape(t.shape + self.shape)
+
+
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Validated coefficient data for one oscillating system.
 
@@ -279,9 +324,17 @@ class ProblemSpec:
         """The full forcing d_0 + sum_{l != 0} d_l e^{i l tau}."""
         return TrigPoly(self._stack.data[..., self.n])
 
-    def _stack_values(self, tau) -> np.ndarray:
-        """The stack at phase(s) tau: real for a real system, else complex."""
-        return self._stack.real_values(tau) if self.real_mode else self._stack(tau)
+    @cached_property
+    def _B0_stack(self) -> np.ndarray:
+        """[B0 | 0] in the field's dtype, the part of the field scaled by 1/omega."""
+        B0 = self.B0.real if self.real_mode else self.B0
+        return np.concatenate([B0, np.zeros((self.n, 1), dtype=B0.dtype)], axis=1)
+
+    def field_map(self, omega, rate: float = 1.0) -> Sampler:
+        """t -> ``field(rate * t, omega)``, with B0/omega folded into the
+        constant term once.  The integrators take rate = omega, so that t is
+        time; ``field`` itself takes rate 1."""
+        return self._stack.sampler(rate, self.real_mode, self._B0_stack / omega)
 
     def field(self, tau, omega) -> np.ndarray:
         """The right side [M(tau) + B0/omega | f(tau)] at phase(s) tau.
@@ -291,10 +344,7 @@ class ProblemSpec:
         x' = F[:, :n] x + F[:, n].  The matrix axes follow the axes of tau.
         A real system gives a real array, evaluated in a cos/sin basis.
         """
-        F = self._stack_values(tau)
-        B0 = self.B0.real if self.real_mode else self.B0
-        F[..., : self.n] += B0 / omega  # in place: on a phase grid F is big
-        return F
+        return self.field_map(omega)(tau)
 
     def system_matrix(self, tau, omega) -> np.ndarray:
         """A0 + B0/omega + sum B_l e^{i l tau}: the matrix columns of ``field``."""
@@ -302,7 +352,8 @@ class ProblemSpec:
 
     def forcing(self, tau) -> np.ndarray:
         """d_0 + sum d_l e^{i l tau}: the last column of ``field``."""
-        return self._stack_values(tau)[..., self.n]
+        stack = self._stack.real_values if self.real_mode else self._stack
+        return stack(tau)[..., self.n]
 
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):

@@ -10,9 +10,11 @@ validated against these results, never the other way around.
 One right side serves every integration.  The package's own DOP853
 (``hfosc.dop853``, numpy only) advances an n x k state block Y at time t by
 (M(omega t) + B0/omega) Y with the forcing f(omega t) added to the last
-column, reading all of it from ``ProblemSpec.field``, once per step for all
-stages; a real system is integrated in float64 throughout.  With k = 1 the
-block is one trajectory, the solution through a given state.  With k = n + 1
+column.  It reads all of it, once per step for all stages, from
+``ProblemSpec.field_map(omega, omega)``: the coefficients behind
+``ProblemSpec.field``, with B0/omega folded in once per frequency.  A real
+system is integrated in float64 throughout.  With k = 1 the block is one
+trajectory, the solution through a given state.  With k = n + 1
 it is the fundamental system beside the forced response from zero, the block
 [I | 0] that ends at [Phi | v].  One such pass per frequency serves
 everything: the period map, x0, and the periodic solution, read from the
@@ -20,7 +22,9 @@ block's dense output contracted with z = [x0; 1].  Runge-Kutta steps are
 linear in the state, so that is the trajectory from x0 on the block's own
 steps.  ``_rhs`` applies the same right side to states at arrays of times,
 which is how the integral-form defect of the sampled solution evaluates all
-Gauss nodes of a block of sample intervals at once.
+Gauss nodes of a block of sample intervals at once, without forming the
+field at any of them: the field is a sum of basis terms b_q(t) a_q, so the
+right side is sum_q b_q(t) (a_q @ [Y; e_k^T]).
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ UNIT_BAND = 1e-8
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 
 # Sample intervals whose defect nodes are evaluated together; bounds the
-# (intervals x nodes x n x (n+1)) temporaries of the batched right side.
-_DEFECT_BLOCK = 32
+# (intervals x nodes x terms x n) temporaries of the contracted right side.
+_DEFECT_BLOCK = 64
 
 
 def _check_omega(omega) -> None:
@@ -57,21 +61,30 @@ def _check_omega(omega) -> None:
 
 def _rhs(t, y, spec: ProblemSpec, omega: float):
     """Right side for y of shape (*shape(t), n k): one flattened n x k block
-    per time, mapped to (M + B0/omega) Y with f added to the last column."""
-    from .dop853 import apply
+    per time, mapped to (M + B0/omega) Y with f added to the last column.
 
-    F = spec.field(omega * t, omega)
-    Y = y.reshape(np.shape(t) + (spec.n, -1))
-    return apply(F, Y).reshape(y.shape)
+    One product of the coefficients a_q with all states [Y; e_k^T], then
+    one contraction with the basis b_q(t): the temporaries hold terms x n
+    values per state column, not the n x (n + 1) field per time."""
+    field = spec.field_map(omega, omega)
+    basis = field.basis(np.reshape(t, -1))
+    N, n = len(basis), spec.n
+    Y = y.reshape(N, n, -1)
+    k = Y.shape[-1]
+    Ya = np.zeros((N, k, n + 1), dtype=np.result_type(Y, field.coeffs))
+    Ya[..., :n] = Y.transpose(0, 2, 1)
+    Ya[:, -1, n] = 1.0
+    G = Ya.reshape(-1, n + 1) @ field.coeffs.reshape(-1, n + 1).T
+    return np.einsum("tq,tjqi->tij", basis, G.reshape(N, k, -1, n)).reshape(y.shape)
 
 
 def _solve(spec, omega, y0, t0, t1, dense=False):
-    # Imported here, as in _rhs: commands that never integrate skip the
-    # integrator's module and its tableau.
+    # Imported here: commands that never integrate skip the integrator's
+    # module and its tableau.
     from .dop853 import solve
 
     return solve(
-        lambda t: spec.field(omega * t, omega),
+        spec.field_map(omega, omega),
         y0,
         t0,
         t1,

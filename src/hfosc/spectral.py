@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, NoKernelError
+from .errors import DegenerateError, NoKernelError, check_finite
 from .model import ProblemSpec
 
 # Rank cut for the zero eigenvalue: singular values below
@@ -101,8 +101,9 @@ def numerical_rank(sigma: np.ndarray, rank_tol: float = RANK_TOL) -> int:
 def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> KernelData:
     """SVD-based kernel data for the zero eigenvalue of A0.
 
-    Raises NoKernelError when A0 is nonsingular at the rank tolerance and
-    DegenerateError when the solvability matrix is singular.
+    Raises NoKernelError when A0 is nonsingular at the rank tolerance,
+    DegenerateError when the solvability matrix is singular, and
+    NonFiniteError when the averaged matrix A1 overflows.
     """
     n = spec.n
     U, sigma, Vh = np.linalg.svd(spec.A0)
@@ -118,7 +119,9 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
     inv_sigma = np.zeros(n)
     inv_sigma[:rank] = 1.0 / sigma[:rank]
     restricted_inverse = Vh.conj().T @ np.diag(inv_sigma) @ U.conj().T
-    A1 = averaged_matrix(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A1 = averaged_matrix(spec)
+    check_finite("the averaged matrix A1", A1)
     solvability = left_kernel.conj().T @ A1 @ kernel
     sv = np.linalg.svd(solvability, compute_uv=False)
     sigma_min = float(sv[-1])

@@ -25,8 +25,8 @@ from hfosc.averaging import (
     transform_residual,
 )
 from hfosc.bounds import constants, normalize
-from hfosc.errors import NotRealError
-from hfosc.model import ProblemSpec
+from hfosc.errors import NonFiniteError, NotRealError
+from hfosc.model import ProblemSpec, load_problem
 from hfosc.oracle import floquet_verdict
 from hfosc.spectral import averaged_matrix
 
@@ -470,3 +470,29 @@ def test_inexact_characteristic_series_gives_no_verdict():
     assert verdict.kind == "Inconclusive"
     assert verdict.leaders == () and verdict.zero_ratios == ()
     assert "alpha_40" in verdict.detail and "above zero_tol 1e-09" in verdict.detail
+
+
+def test_rounding_in_real_minors_gives_no_verdict():
+    # Real system, real minors in exact arithmetic; at trunc 38 rounding
+    # leaves imaginary parts of 4e-6 of their scale, where classify raises.
+    spec = load_problem(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "random_n3_m1.json")
+    with pytest.raises(NotRealError):
+        classify(hurwitz_series(char_poly_series(formal_average(spec, 38))))
+    verdict = analyze_stability(spec, trunc=38)
+    assert verdict.kind == "Inconclusive"
+    assert verdict.imag_ratio > verdict.imag_tol
+    assert f"{verdict.imag_ratio:.3e}" in verdict.detail and "imag_tol 1e-06" in verdict.detail
+    assert verdict.leaders == () and verdict.zero_ratios == ()
+    assert analyze_stability(spec, trunc=37).kind == "Unstable"
+
+
+def test_averaging_transform_raises_on_overflow():
+    spec = fixtures.random_admissible(seed=0, n=3, m=1)
+    big = ProblemSpec(
+        n=3, m=1, A0=1e150 * spec.A0, B0=1e150 * spec.B0,
+        B={l: 1e150 * b for l, b in spec.B.items()}, d={},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="averaging transform"):
+            kb_transform(big, 6)

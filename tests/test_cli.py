@@ -401,3 +401,78 @@ def test_rank_tol_reaches_every_kernel(capsys):
     assert cut["L"] != base["L"]
     first = _report(capsys, "validate", path).splitlines()[0]
     assert first != _report(capsys, "validate", path, *wide).splitlines()[0]
+
+
+def test_rounding_in_real_minors_leaves_the_series_inconclusive(capsys):
+    # At --trunc 38 the minors of this real system keep imaginary parts of
+    # 4e-6 of their scale from rounding: no series verdict, but no error,
+    # and the multiplier test still runs.
+    path = str(FIXTURES / "random_n3_m1.json")
+    assert main(["stability", path, "--trunc", "38"]) == 0
+    out = capsys.readouterr().out
+    assert "series test (through 1/omega^38): Inconclusive" in out
+    assert "above imag_tol 1e-06" in out
+    assert "multiplier test at omega=100: Unstable" in out
+    assert main(["stability", path, "--trunc", "38", "--format", "json"]) == 0
+    series = json.loads(capsys.readouterr().out)["series"]
+    assert series["imag_ratio"] > series["imag_tol"] == 1e-6
+    assert series["leaders"] == [] and series["zero_ratios"] == []
+
+
+def _scaled_document(tmp_path, factor):
+    """random_n3_m1 with every number of A0, B0, B and d times ``factor``."""
+    doc = json.loads((FIXTURES / "random_n3_m1.json").read_text())
+
+    def scale(value):
+        if isinstance(value, list):
+            return [scale(v) for v in value]
+        if isinstance(value, dict):
+            return {k: scale(v) for k, v in value.items()}
+        return value * factor
+
+    for key in ("A0", "B0", "B", "d"):
+        doc[key] = scale(doc[key])
+    path = tmp_path / f"scaled-{factor:g}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "{fixture}", "--order", "250", "--format", "json"),
+    ("expand", "{1e150}"),
+    ("stability", "{1e150}"),
+    ("validate", "{1e150}"),
+    ("analyze", "{1e300}"),
+])
+def test_overflow_exits_one_with_an_error(tmp_path, argv):
+    paths = {
+        "{fixture}": str(FIXTURES / "random_n3_m1.json"),
+        "{1e150}": _scaled_document(tmp_path, 1e150),
+        "{1e300}": _scaled_document(tmp_path, 1e300),
+    }
+    proc = _run_module(*(paths.get(a, a) for a in argv), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_json_reports_refuse_non_finite_numbers(tmp_path, capsys, monkeypatch):
+    # The backstop behind the finite checks: a NaN that reaches the report
+    # is an error, never an invalid JSON token.
+    import hfosc.cli as cli
+
+    real = cli.compute_kernel_data
+
+    def tampered(*args, **kwargs):
+        kd = real(*args, **kwargs)
+        kd.sigma[0] = np.nan
+        return kd
+
+    monkeypatch.setattr(cli, "compute_kernel_data", tampered)
+    path = str(FIXTURES / "random_n3_m1.json")
+    assert main(["analyze", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
+    assert captured.out == ""

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hfosc import fixtures
+from hfosc.errors import NonFiniteError
 from hfosc.expansion import expand, ode_residual, partial_sum
+from hfosc.model import ProblemSpec
 from hfosc.spectral import compute_kernel_data
 
 
@@ -192,3 +196,21 @@ def test_partial_sum_shapes():
     assert partial_sum(exp, 1, 50.0, np.zeros(5)).shape == (5, 3)
     grid = np.zeros((2, 4))
     assert partial_sum(exp, 1, 50.0, grid).shape == (2, 4, 3)
+
+
+def test_overflow_raises_a_typed_error_without_warnings():
+    spec = fixtures.random_admissible(seed=0, n=3, m=1)
+
+    def scaled(factor):
+        return ProblemSpec(
+            n=3, m=1, A0=factor * spec.A0, B0=factor * spec.B0,
+            B={l: factor * b for l, b in spec.B.items()},
+            d={l: factor * v for l, v in spec.d.items()},
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="of the expansion"):
+            expand(scaled(1e150), 4)
+        with pytest.raises(NonFiniteError, match="averaged matrix A1"):
+            compute_kernel_data(scaled(1e300))

@@ -367,3 +367,31 @@ def test_poly_arithmetic_is_blind_to_zero_padding():
     assert np.allclose((a + c)(taus), a(taus) + c, atol=1e-13)
     assert np.allclose((2.5 * a)(taus), 2.5 * a(taus), atol=1e-13)
     assert a != b and a - a == TrigPoly.constant(np.zeros(3))
+
+
+@pytest.mark.parametrize("real_mode", [True, False])
+def test_field_map_in_time_is_the_field_at_omega_t(real_mode):
+    # The integrators' right side: built once per frequency, with B0/omega
+    # folded into the constant term, and evaluated at times, not phases.
+    spec = fixtures.random_admissible(seed=4, n=5, m=3, real_mode=real_mode)
+    omega = 137.0
+    t = np.random.default_rng(2).uniform(0.0, 2 * np.pi / omega, size=(3, 7))
+    got = spec.field_map(omega, omega)(t)
+    want = spec.field(omega * t, omega)
+    assert got.dtype == want.dtype == (np.float64 if real_mode else np.complex128)
+    assert got.shape == t.shape + (5, 6)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # At rate 1 the map is the field itself, and its last column the forcing.
+    assert np.array_equal(spec.field_map(omega)(t), spec.field(t, omega))
+    assert np.allclose(spec.field(t, omega)[..., 5], spec.forcing(t), rtol=0, atol=1e-14)
+
+
+def test_sampler_basis_times_coefficients_is_the_polynomial():
+    rng = np.random.default_rng(6)
+    poly = _random_vec_poly(rng)
+    t = rng.uniform(-1.0, 1.0, size=(4, 2))
+    sampler = poly.sampler(rate=3.0, offset=np.ones(3))
+    assert np.allclose(sampler(t), poly(3.0 * t) + 1.0, rtol=0, atol=1e-13)
+    basis = sampler.basis(t)
+    assert basis.shape == (4, 2, len(poly.data))
+    assert np.allclose(basis @ sampler.coeffs, sampler(t).reshape(4, 2, -1), atol=1e-13)

@@ -26,7 +26,7 @@ def test_scalar_relaxation_closed_form():
     spec = fixtures.scalar_decay()
     omega = 3.0
     T = 2 * np.pi / omega
-    # The defect quadrature runs over blocks of 32 sample intervals: 1 and 7
+    # The defect quadrature runs over blocks of 64 sample intervals: 1 and 7
     # fit in one short block, 100 ends with a short one, 256 fills them all.
     for n_samples in (1, 7, 100, 256):
         ps = periodic_solution(spec, omega, n_samples=n_samples)
@@ -66,6 +66,22 @@ def test_one_right_side_for_trajectories_and_blocks():
     for idx in np.ndindex(t.shape):
         want = direct(t[idx], y[idx][:, None])[:, 0]
         assert np.allclose(got[idx], want, atol=1e-13)
+
+
+@pytest.mark.parametrize("real_mode", [True, False])
+@pytest.mark.parametrize("k", ["1", "n+1"])
+def test_contracted_rhs_equals_the_field_times_the_states(real_mode, k):
+    # _rhs never forms the field on its grid; it must still equal the
+    # batched product [M | f] @ [Y; e_k^T] at every time.
+    spec = fixtures.random_admissible(seed=7, n=6, m=3, real_mode=real_mode)
+    omega = 90.0
+    cols = 1 if k == "1" else spec.n + 1
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 2 * np.pi / omega, size=(4, 10))
+    Y = rng.standard_normal((4, 10, spec.n, cols)) + 1j * rng.standard_normal((4, 10, spec.n, cols))
+    want = dop853.apply(spec.field(omega * t, omega), Y)
+    got = _rhs(t, Y.reshape(4, 10, -1), spec, omega).reshape(want.shape)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_autonomous_monodromy_is_matrix_exponential():
