@@ -85,9 +85,6 @@ class Series:
             return self
         return Series(self.coeffs[: trunc + 1])
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __add__(self, other: "Series") -> "Series":
         k = min(self.trunc, other.trunc)
         return Series(self.coeffs[: k + 1] + other.coeffs[: k + 1])
@@ -188,13 +185,14 @@ def char_poly_series(ms: Series) -> list:
     return alphas
 
 
-def hurwitz_series(alphas: list, trunc: int | None = None) -> list:
+def hurwitz_series(alphas: list) -> list:
     """Leading principal minors D_1..D_n of the Hurwitz matrix, as series.
 
     Row i, column j of the Hurwitz matrix holds alpha_{2i-j} (1-indexed),
     with alpha_0 = 1 and alpha out of range zero.  Every leading block is
     reduced by Gaussian elimination over the truncated series ring
-    C[eps]/eps^(trunc+1), eps = 1/omega; the blocks H_1..H_{n-1} ride one
+    C[eps]/eps^(trunc+1), eps = 1/omega, where trunc is the smallest
+    truncation of the alphas; the blocks H_1..H_{n-1} ride one
     batched elimination, each padded with zeros to the largest size, and
     D_n = alpha_n D_{n-1} because the last row of H_n holds alpha_n alone.
 
@@ -211,13 +209,7 @@ def hurwitz_series(alphas: list, trunc: int | None = None) -> list:
     """
     if not alphas:
         raise ValueError("hurwitz_series needs at least one coefficient alpha_1")
-    depth = min(a.trunc for a in alphas)
-    if trunc is None:
-        trunc = depth
-    if not 0 <= trunc <= depth:
-        raise ValueError(
-            f"trunc must lie in 0..{depth}, the truncation of the alphas; got {trunc}"
-        )
+    trunc = min(a.trunc for a in alphas)
     n, width = len(alphas), trunc + 1
     # toeplitz(a)[..., q, i] = a[..., q - i] on and below the diagonal, so
     # toeplitz(a) @ b is the truncated product of the series a and b.

@@ -27,7 +27,7 @@ from .errors import (
     NoKernelError,
     NonUniqueError,
 )
-from .expansion import expand, partial_sum
+from .expansion import expand, partial_sum, safe_norm
 from .model import load_problem, to_pairs
 from .oracle import INTEGRATOR_TOL, UNIQUENESS_TOL
 from .oracle import error_slope, floquet_verdict, periodic_solution
@@ -129,7 +129,7 @@ def _cmd_expand(spec, args):
     lines.append(f"leading kernel coefficients (O(omega) term): {_fmt_vec(exp.leading)}")
     for k, lev in enumerate(exp.levels):
         lines.append(
-            f"order {k}: |mean|={np.linalg.norm(lev.mean):.6g} "
+            f"order {k}: |mean|={safe_norm(lev.mean):.6g} "
             f"kernel_coeff={_fmt_vec(lev.kernel_coeff)} "
             f"harmonics={len(lev.osc.coeffs)} "
             f"defect={lev.solvability_defect:.3g}"

@@ -47,6 +47,16 @@ from .model import ProblemSpec, TrigPoly
 from .spectral import KernelData, compute_kernel_data
 
 
+def safe_norm(a) -> np.ndarray:
+    """Euclidean norms along the last axis that square no entry above 1:
+    the entries are first divided by a power of two near the largest of
+    them, which is exact, so a norm is finite wherever it is representable
+    (plain squares overflow from about 1e154)."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    _, e = np.frexp(np.max(np.abs(parts)))
+    return np.ldexp(np.linalg.norm(np.ldexp(parts, -e), axis=-1), e)
+
+
 @dataclass(frozen=True, eq=False)
 class ExpansionLevel:
     """One order of the expansion.
@@ -121,7 +131,7 @@ def expand(
             g = M @ (y + x) + spec.B0 @ y_prev
             if p == 1:
                 g = g + spec.forcing_poly()
-            mass = float(np.sum(np.linalg.norm(beta.data, axis=-1)))
+            mass = float(np.sum(safe_norm(beta.data)))
             check_finite(f"order {p} of the expansion", g.data, mass)
             beta_p = (g - g.mean()).antiderivative()
             theta_p = spec.B0 @ x + (B_osc @ beta_p).mean()
@@ -178,8 +188,10 @@ def ode_residual(
     """Worst defect of the order-r partial sum in the differential equation.
 
     The time derivative is taken analytically (only the oscillating parts
-    move), so this measures the construction, not a difference scheme.
-    Scales like omega^{-r} when every matched order truly cancels.
+    move), so this measures the construction, not a difference scheme.  The
+    right side is the field's ``Sampler.apply`` at the sampled sum, so no
+    field grid is formed.  Scales like omega^{-r} when every matched order
+    truly cancels.
     """
     if not 0 <= r <= exp.order:
         raise ValueError(f"r must be in [0, {exp.order}], got {r}")
@@ -189,10 +201,5 @@ def ode_residual(
         float(omega) ** (1 - k) * lev.osc.derivative()(taus)
         for k, lev in enumerate(exp.levels[: r + 1])
     )
-    F = spec.field(taus, omega)
-    M = F[..., : spec.n]
-    # The real and imaginary parts apart: a real field times the complex sum
-    # would be upcast to a complex copy of the whole grid.
-    MS = M @ S.real[..., None] + 1j * (M @ S.imag[..., None])
-    rhs = MS[..., 0] + F[..., spec.n]
+    rhs = spec.field_map(omega).apply(taus, S[..., None])[..., 0]
     return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

@@ -8,6 +8,12 @@ A problem is the linear system
 described by a JSON-style document.  Everything downstream (spectral data,
 expansions, bounds, averaging, the reference integrator) consumes the
 ``ProblemSpec`` built here.
+
+Every trigonometric polynomial, the system's coefficients as well as the
+terms of the expansion, is evaluated in one basis, cos(l tau) and sin(l tau)
+written as shifted cosines (``Sampler``).  It is exact for complex
+coefficients, and a real system's coefficients are real in it, so a real
+system is evaluated in real arithmetic.
 """
 
 from __future__ import annotations
@@ -114,56 +120,45 @@ class TrigPoly:
 
     @cached_property
     def _rates(self) -> np.ndarray:
-        """i l for each row; cached because the integrators evaluate often."""
+        """i l for each row, the factors of the derivative."""
         return 1j * np.arange(-self.H, self.H + 1)
 
     @cached_property
-    def _real_form(self) -> tuple:
-        """Re p(tau) = cos(k tau - s) @ a, a cos/sin basis as one cosine:
+    def _cos_form(self) -> tuple:
+        """p(tau) = cos(k tau - s) @ a, a cos/sin basis as one cosine:
         harmonics k = 0, 1..H, 1..H, shifts s = 0 then pi/2 for the sines,
-        and real coefficients a = c_0, Re(c_l + c_{-l}), Im(c_{-l} - c_l).
-        With c_{-l} = conj(c_l) these are c_0, 2 Re c_l and -2 Im c_l."""
+        and coefficients a = c_0, c_l + c_{-l}, i(c_l - c_{-l}).  Exact for
+        any complex c_l; with c_{-l} = conj(c_l) the a are real: c_0,
+        2 Re c_l and -2 Im c_l."""
         H, data = self.H, self.data
         plus, minus = data[H + 1 :], data[:H][::-1]
         l = np.arange(1.0, H + 1)
         k = np.concatenate([[0.0], l, l])
         s = np.repeat([0.0, np.pi / 2], [H + 1, H])
-        a = np.concatenate([data[H : H + 1].real, (plus + minus).real, (minus - plus).imag])
+        a = np.concatenate([data[H : H + 1], plus + minus, 1j * (plus - minus)])
         return k, s, a.reshape(len(data), -1)
 
     def sampler(self, rate: float = 1.0, real: bool = False, offset=None) -> "Sampler":
-        """t -> p(rate * t) + offset, with its rates and coefficients formed
-        once for a caller that evaluates it often.  ``real`` samples the real
-        part in the cos/sin basis of ``_real_form``, in real arithmetic;
-        ``offset`` (of the value shape, real when ``real``) is folded into
-        the constant term."""
+        """t -> p(rate * t) + offset in the basis of ``_cos_form``, with its
+        rates and coefficients formed once for a caller that evaluates it
+        often.  ``real`` keeps the real part of the coefficients, so that the
+        sampler gives Re p in real arithmetic; ``offset`` (of the value
+        shape, real when ``real``) is folded into the constant term."""
+        k, shifts, coeffs = self._cos_form
         if real:
-            k, shifts, coeffs = self._real_form
-            rates, const = rate * k, 0
-        else:
-            rates, shifts = rate * self._rates, None
-            coeffs, const = self.data.reshape(len(self.data), -1), self.H
+            coeffs = coeffs.real
         if offset is not None:
             coeffs = coeffs.copy()
-            coeffs[const] += np.reshape(offset, -1)
-        return Sampler(rates, shifts, coeffs, self.shape)
+            coeffs[0] += np.reshape(offset, -1)
+        return Sampler(rate * k, shifts, coeffs, self.shape)
 
     @cached_property
     def _values(self) -> "Sampler":
         return self.sampler()
 
-    @cached_property
-    def _real_values(self) -> "Sampler":
-        return self.sampler(real=True)
-
     def __call__(self, tau):
         """Evaluate at phase(s) tau; the value axes follow the axes of tau."""
         return self._values(tau)
-
-    def real_values(self, tau) -> np.ndarray:
-        """The real part of ``self(tau)``, evaluated in real arithmetic; the
-        values themselves for a real polynomial, c_{-l} = conj(c_l)."""
-        return self._real_values(tau)
 
     def mean(self) -> np.ndarray:
         return self.data[self.H]
@@ -240,26 +235,46 @@ class TrigPoly:
 @dataclass(frozen=True, eq=False)
 class Sampler:
     """A trigonometric sum at times t: ``basis(t) @ coeffs``, reshaped to
-    (*shape(t), *shape).  The basis is exp(t * rates) (complex rates), or
-    cos(t * rates - shifts) for the real form, where shifts of pi/2 make the
-    sines; ``coeffs`` holds one flattened value per basis term."""
+    (*shape(t), *shape).  The basis is cos(t * rates - shifts), where shifts
+    of pi/2 make the sines; ``coeffs`` holds one flattened value per basis
+    term, complex or real."""
 
     rates: np.ndarray
-    shifts: np.ndarray | None
+    shifts: np.ndarray
     coeffs: np.ndarray
     shape: tuple
 
     def basis(self, t) -> np.ndarray:
         """The basis terms at times t, of shape (*shape(t), terms)."""
         arg = np.multiply.outer(t, self.rates)
-        if self.shifts is None:
-            return np.exp(arg)
         arg -= self.shifts
         return np.cos(arg, out=arg)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return (self.basis(t) @ self.coeffs).reshape(t.shape + self.shape)
+
+    def apply(self, t, Y) -> np.ndarray:
+        """The right side at n x k blocks Y of shape (*shape(t), n, k), for a
+        sum [M | f] of shape (n, n + 1): M(t) Y with f(t) added to the last
+        column.
+
+        The field is never formed.  It is sum_q b_q(t) a_q over the basis
+        terms b_q, so one product of the coefficients a_q with all blocks
+        [Y; e_k^T], then one contraction with the basis, give the right side:
+        the temporaries hold terms x n values per state column, not the
+        n x (n + 1) field per time."""
+        t = np.asarray(t, dtype=float)
+        basis = self.basis(t.reshape(-1))
+        N, n = len(basis), self.shape[0]
+        Y = np.reshape(Y, (N, n, -1))
+        k = Y.shape[-1]
+        Ya = np.zeros((N, k, n + 1), dtype=np.result_type(Y, self.coeffs))
+        Ya[..., :n] = Y.transpose(0, 2, 1)
+        Ya[:, -1, n] = 1.0
+        G = Ya.reshape(-1, n + 1) @ self.coeffs.reshape(-1, n + 1).T
+        out = np.einsum("tq,tjqi->tij", basis, G.reshape(N, k, -1, n))
+        return out.reshape(t.shape + (n, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +348,8 @@ class ProblemSpec:
     def field_map(self, omega, rate: float = 1.0) -> Sampler:
         """t -> ``field(rate * t, omega)``, with B0/omega folded into the
         constant term once.  The integrators take rate = omega, so that t is
-        time; ``field`` itself takes rate 1."""
+        time; ``field`` itself takes rate 1.  Its ``apply`` is the right side
+        at states, without the field."""
         return self._stack.sampler(rate, self.real_mode, self._B0_stack / omega)
 
     def field(self, tau, omega) -> np.ndarray:
@@ -342,7 +358,7 @@ class ProblemSpec:
         Columns 0..n-1 hold the system matrix A0 + B0/omega + sum B_l
         e^{i l tau}, column n the forcing d_0 + sum d_l e^{i l tau}, so that
         x' = F[:, :n] x + F[:, n].  The matrix axes follow the axes of tau.
-        A real system gives a real array, evaluated in a cos/sin basis.
+        A real system gives a real array, evaluated in real arithmetic.
         """
         return self.field_map(omega)(tau)
 
@@ -351,9 +367,9 @@ class ProblemSpec:
         return self.field(tau, omega)[..., : self.n]
 
     def forcing(self, tau) -> np.ndarray:
-        """d_0 + sum d_l e^{i l tau}: the last column of ``field``."""
-        stack = self._stack.real_values if self.real_mode else self._stack
-        return stack(tau)[..., self.n]
+        """d_0 + sum d_l e^{i l tau}: the last column of ``field``, which
+        does not depend on omega."""
+        return self.field(tau, 1.0)[..., self.n]
 
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):

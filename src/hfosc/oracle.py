@@ -20,11 +20,10 @@ it is the fundamental system beside the forced response from zero, the block
 everything: the period map, x0, and the periodic solution, read from the
 block's dense output contracted with z = [x0; 1].  Runge-Kutta steps are
 linear in the state, so that is the trajectory from x0 on the block's own
-steps.  ``_rhs`` applies the same right side to states at arrays of times,
-which is how the integral-form defect of the sampled solution evaluates all
-Gauss nodes of a block of sample intervals at once, without forming the
-field at any of them: the field is a sum of basis terms b_q(t) a_q, so the
-right side is sum_q b_q(t) (a_q @ [Y; e_k^T]).
+steps.  The same map's ``Sampler.apply`` gives the right side at states on
+arrays of times, which is how the integral-form defect of the sampled
+solution evaluates all Gauss nodes of a block of sample intervals at once,
+without forming the field at any of them.
 """
 
 from __future__ import annotations
@@ -57,25 +56,6 @@ _DEFECT_BLOCK = 64
 def _check_omega(omega) -> None:
     if not (np.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
-
-
-def _rhs(t, y, spec: ProblemSpec, omega: float):
-    """Right side for y of shape (*shape(t), n k): one flattened n x k block
-    per time, mapped to (M + B0/omega) Y with f added to the last column.
-
-    One product of the coefficients a_q with all states [Y; e_k^T], then
-    one contraction with the basis b_q(t): the temporaries hold terms x n
-    values per state column, not the n x (n + 1) field per time."""
-    field = spec.field_map(omega, omega)
-    basis = field.basis(np.reshape(t, -1))
-    N, n = len(basis), spec.n
-    Y = y.reshape(N, n, -1)
-    k = Y.shape[-1]
-    Ya = np.zeros((N, k, n + 1), dtype=np.result_type(Y, field.coeffs))
-    Ya[..., :n] = Y.transpose(0, 2, 1)
-    Ya[:, -1, n] = 1.0
-    G = Ya.reshape(-1, n + 1) @ field.coeffs.reshape(-1, n + 1).T
-    return np.einsum("tq,tjqi->tij", basis, G.reshape(N, k, -1, n)).reshape(y.shape)
 
 
 def _solve(spec, omega, y0, t0, t1, dense=False):
@@ -186,12 +166,13 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
 
     mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
     steps = np.diff(x, axis=0)
+    field = spec.field_map(omega, omega)
     defect = 0.0
     for i in range(0, n_samples, _DEFECT_BLOCK):
         block = slice(i, i + _DEFECT_BLOCK)
         nodes = mids[block, None] + halves[block, None] * _GAUSS_X
-        states = sol(nodes)
-        increments = halves[block, None] * (_GAUSS_W @ _rhs(nodes, states, spec, omega))
+        slopes = field.apply(nodes, sol(nodes)[..., None])[..., 0]
+        increments = halves[block, None] * (_GAUSS_W @ slopes)
         gaps = np.linalg.norm(steps[block] - increments, axis=1)
         defect = max(defect, float(np.max(gaps)))
 

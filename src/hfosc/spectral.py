@@ -83,14 +83,6 @@ class KernelData:
     solvability_sigma_min: float
     solvability_floor: float
 
-    def kernel_component(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of v along the kernel basis (orthogonal projection)."""
-        return self.kernel.conj().T @ v
-
-    def left_projections(self, v: np.ndarray) -> np.ndarray:
-        """Inner products <v, z_k> for all left-kernel basis vectors."""
-        return self.left_kernel.conj().T @ v
-
 
 def numerical_rank(sigma: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     """Count of the (descending) singular values that the rank cut keeps."""

@@ -438,7 +438,7 @@ def _scaled_document(tmp_path, factor):
 
 
 @pytest.mark.parametrize("argv", [
-    ("expand", "{fixture}", "--order", "250", "--format", "json"),
+    ("expand", "{fixture}", "--order", "520", "--format", "json"),
     ("expand", "{1e150}"),
     ("stability", "{1e150}"),
     ("validate", "{1e150}"),

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 from hfosc import dop853, fixtures
 from hfosc.errors import StepFailure
-from hfosc.oracle import INTEGRATOR_TOL, _rhs, integrate, monodromy, periodic_solution
+from hfosc.oracle import INTEGRATOR_TOL, integrate, monodromy, periodic_solution
 
 
 def test_tableau_row_sums_equal_the_nodes():
@@ -33,11 +33,17 @@ def test_dense_output_needs_only_the_kept_stages():
     assert not np.any(dop853.D[:, dropped[:4]])
 
 
+def _rhs(spec, omega):
+    """The package's right side as scipy's fun(t, y) on flattened blocks."""
+    field = spec.field_map(omega, omega)
+    return lambda t, y: field.apply(t, y.reshape(spec.n, -1)).reshape(-1)
+
+
 def _reference(spec, omega, y0, T, dense=False):
     return solve_ivp(
-        _rhs, (0.0, T), np.asarray(y0, dtype=complex).reshape(-1),
+        _rhs(spec, omega), (0.0, T), np.asarray(y0, dtype=complex).reshape(-1),
         method="DOP853", rtol=INTEGRATOR_TOL, atol=INTEGRATOR_TOL,
-        max_step=T / 16, dense_output=dense, args=(spec, omega),
+        max_step=T / 16, dense_output=dense,
     )
 
 
@@ -104,8 +110,8 @@ def test_integrate_there_and_back_returns_the_start():
     back = integrate(spec, omega, x1, 0.35, 0.1)
     assert np.allclose(back, x0, rtol=0, atol=1e-10)
     ref = solve_ivp(
-        _rhs, (0.35, 0.1), x1, method="DOP853", rtol=INTEGRATOR_TOL,
-        atol=INTEGRATOR_TOL, max_step=(2 * np.pi / omega) / 16, args=(spec, omega),
+        _rhs(spec, omega), (0.35, 0.1), x1, method="DOP853", rtol=INTEGRATOR_TOL,
+        atol=INTEGRATOR_TOL, max_step=(2 * np.pi / omega) / 16,
     )
     assert _rel(back, ref.y[:, -1]) < 1e-11
 

@@ -1,3 +1,4 @@
+import pathlib
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from hfosc import fixtures
 from hfosc.errors import NonFiniteError
-from hfosc.expansion import expand, ode_residual, partial_sum
-from hfosc.model import ProblemSpec
+from hfosc.expansion import expand, ode_residual, partial_sum, safe_norm
+from hfosc.model import ProblemSpec, load_problem
 from hfosc.spectral import compute_kernel_data
 
 
@@ -86,7 +87,7 @@ def test_structural_invariants():
         vs = _kernel_vectors(exp)
         for k, lev in enumerate(exp.levels):
             # Means live strictly outside the kernel.
-            assert np.allclose(kd.kernel_component(lev.mean), 0.0, atol=1e-11)
+            assert np.allclose(kd.kernel.conj().T @ lev.mean, 0.0, atol=1e-11)
             # Oscillating parts have zero mean and bounded harmonic range.
             assert np.array_equal(lev.osc.mean(), np.zeros(spec.n))
             if lev.osc.support():
@@ -214,3 +215,27 @@ def test_overflow_raises_a_typed_error_without_warnings():
             expand(scaled(1e150), 4)
         with pytest.raises(NonFiniteError, match="averaged matrix A1"):
             compute_kernel_data(scaled(1e300))
+
+
+def test_large_finite_coefficients_keep_finite_masses():
+    # Past order 247 this expansion's beta coefficients exceed 1e154, whose
+    # squares overflow; the masses and norms must stay finite until the
+    # coefficients themselves overflow (order 489).
+    spec = load_problem(pathlib.Path(__file__).resolve().parent.parent / "fixtures/random_n3_m1.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp = expand(spec, 300)
+        masses = np.array([lev.harmonic_mass for lev in exp.levels])
+        means = safe_norm(np.array([lev.mean for lev in exp.levels]))
+    assert np.all(np.isfinite(masses)) and np.all(np.isfinite(means))
+    assert masses[-1] > 1e180 and means[-1] > 1e180
+
+
+def test_safe_norm_is_the_euclidean_norm_at_any_scale():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    a[2] = 0.0
+    want = np.linalg.norm(a, axis=-1)
+    for scale in (1.0, 2.0**-1000, 2.0**900):
+        assert np.allclose(safe_norm(scale * a) / scale, want, rtol=1e-15, atol=0)
+    assert safe_norm(a[0]) == pytest.approx(want[0], rel=1e-15)

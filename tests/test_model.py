@@ -308,16 +308,53 @@ def test_matrix_poly_mean_picks_the_zero_harmonic():
     assert np.allclose(a.mean(), quad, atol=1e-13)
 
 
+def _exponential_sum(poly, taus):
+    """sum_l c_l e^{i l tau}, written out apart from the package's basis."""
+    taus = np.asarray(taus, dtype=float)
+    out = np.zeros(taus.shape + poly.shape, dtype=complex)
+    for i, c in enumerate(poly.data):
+        phase = np.exp(1j * (i - poly.H) * taus)
+        out += phase.reshape(taus.shape + (1,) * len(poly.shape)) * c
+    return out
+
+
+def _conjugate_symmetric(poly):
+    """poly plus its conjugate mirror: c_{-l} = conj(c_l), real values."""
+    return poly + TrigPoly(np.conj(poly.data[::-1]))
+
+
+@pytest.mark.parametrize("kind", ["matrix", "real vector", "real matrix", "constant"])
+def test_poly_evaluates_like_the_exponential_sum(kind):
+    # Complex vector values at scalar and 1-d phases are in
+    # test_vector_poly_evaluates_like_the_sum.
+    rng = np.random.default_rng(17)
+    matrix = TrigPoly.from_coeffs(
+        {l: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for l in (-3, 1, 2)},
+        (3, 3),
+    )
+    poly = {
+        "matrix": matrix,
+        "real vector": _conjugate_symmetric(_random_vec_poly(rng)),
+        "real matrix": _conjugate_symmetric(matrix),
+        "constant": TrigPoly.constant(rng.standard_normal((2, 3)) + 1j),
+    }[kind]
+    for taus in (0.7, rng.uniform(-20.0, 20.0, size=(4, 5))):
+        got, want = poly(taus), _exponential_sum(poly, taus)
+        assert got.shape == np.shape(taus) + poly.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if kind.startswith("real"):
+            assert np.max(np.abs(got.imag)) <= 1e-13 * np.max(np.abs(got))
+
+
 def test_real_values_are_the_real_part_in_real_arithmetic():
     rng = np.random.default_rng(21)
     taus = rng.uniform(-10.0, 10.0, size=(4, 5))
     general = _random_vec_poly(rng)  # c_{-l} unrelated to c_l
-    real = general + TrigPoly(np.conj(general.data[::-1]))
+    real = _conjugate_symmetric(general)
     for poly in (general, real, TrigPoly.constant(np.arange(3.0) + 1j)):
-        got = poly.real_values(taus)
+        got = poly.sampler(real=True)(taus)
         assert got.dtype == np.float64 and got.shape == (4, 5, 3)
         assert np.allclose(got, poly(taus).real, rtol=0, atol=1e-13)
-    assert np.max(np.abs(real(taus).imag)) < 1e-13
 
 
 def test_system_matrix_and_forcing():

@@ -11,7 +11,6 @@ from hfosc.errors import BoundaryUndecidable, NonUniqueError
 from hfosc.expansion import expand
 from hfosc.model import ProblemSpec
 from hfosc.oracle import (
-    _rhs,
     error_slope,
     floquet_verdict,
     integrate,
@@ -47,6 +46,7 @@ def test_scalar_relaxation_closed_form():
 def test_one_right_side_for_trajectories_and_blocks():
     spec = fixtures.random_admissible(seed=2, n=3, m=2, s=1)
     omega = 40.0
+    field = spec.field_map(omega, omega)
     rng = np.random.default_rng(5)
 
     def direct(t, Y):
@@ -56,32 +56,37 @@ def test_one_right_side_for_trajectories_and_blocks():
 
     # The period-map block [Phi | forced response] at one time ...
     Y = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    got = _rhs(0.3, Y.reshape(-1), spec, omega).reshape(3, 4)
+    got = field.apply(0.3, Y)
+    assert got.shape == (3, 4)
     assert np.allclose(got, direct(0.3, Y), atol=1e-13)
     # ... and single trajectories at a whole grid of times.
     t = rng.uniform(0.0, 1.0, size=(2, 5))
-    y = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
-    got = _rhs(t, y, spec, omega)
-    assert got.shape == (2, 5, 3)
+    y = rng.standard_normal((2, 5, 3, 1)) + 1j * rng.standard_normal((2, 5, 3, 1))
+    got = field.apply(t, y)
+    assert got.shape == (2, 5, 3, 1)
     for idx in np.ndindex(t.shape):
-        want = direct(t[idx], y[idx][:, None])[:, 0]
-        assert np.allclose(got[idx], want, atol=1e-13)
+        assert np.allclose(got[idx], direct(t[idx], y[idx]), atol=1e-13)
 
 
 @pytest.mark.parametrize("real_mode", [True, False])
 @pytest.mark.parametrize("k", ["1", "n+1"])
 def test_contracted_rhs_equals_the_field_times_the_states(real_mode, k):
-    # _rhs never forms the field on its grid; it must still equal the
-    # batched product [M | f] @ [Y; e_k^T] at every time.
+    # Sampler.apply never forms the field on its grid; it must still equal
+    # the explicit M @ Y with f added to the last column at every time.
     spec = fixtures.random_admissible(seed=7, n=6, m=3, real_mode=real_mode)
     omega = 90.0
     cols = 1 if k == "1" else spec.n + 1
     rng = np.random.default_rng(11)
     t = rng.uniform(0.0, 2 * np.pi / omega, size=(4, 10))
     Y = rng.standard_normal((4, 10, spec.n, cols)) + 1j * rng.standard_normal((4, 10, spec.n, cols))
-    want = dop853.apply(spec.field(omega * t, omega), Y)
-    got = _rhs(t, Y.reshape(4, 10, -1), spec, omega).reshape(want.shape)
+    want = spec.system_matrix(omega * t, omega) @ Y
+    want[..., -1] += spec.forcing(omega * t)
+    got = spec.field_map(omega, omega).apply(t, Y)
+    assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # A real system on real states stays in real arithmetic.
+    real = spec.field_map(omega, omega).apply(t, Y.real)
+    assert real.dtype == (np.float64 if real_mode else np.complex128)
 
 
 def test_autonomous_monodromy_is_matrix_exponential():

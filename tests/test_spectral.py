@@ -108,7 +108,7 @@ def test_restricted_inverse_contract():
         g = range_proj @ y
         x = W @ g
         assert np.allclose(spec.A0 @ x, g, atol=1e-10)
-        assert np.allclose(kd.kernel_component(x), 0.0, atol=1e-10)
+        assert np.allclose(kd.kernel.conj().T @ x, 0.0, atol=1e-10)
 
 
 def test_solvability_entries_match_direct_inner_products():
@@ -121,16 +121,12 @@ def test_solvability_entries_match_direct_inner_products():
             assert kd.solvability[k, j] == pytest.approx(want, abs=1e-14)
 
 
-def test_projection_helpers():
+def test_kernel_bases_are_orthonormal():
+    # So that basis^H @ v gives the coefficients of v's orthogonal projection.
     spec = fixtures.random_admissible(seed=5, n=3, m=1)
     kd = compute_kernel_data(spec)
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert np.allclose(kd.kernel_component(v), kd.kernel.conj().T @ v)
-    assert np.allclose(kd.left_projections(v), kd.left_kernel.conj().T @ v)
-    e = np.zeros(kd.dim)
-    e[0] = 1.0
-    assert np.allclose(kd.kernel_component(kd.kernel[:, 0]), e, atol=1e-14)
+    for basis in (kd.kernel, kd.left_kernel):
+        assert np.allclose(basis.conj().T @ basis, np.eye(kd.dim), rtol=0, atol=1e-14)
 
 
 def test_nonsingular_stationary_matrix_is_rejected():
