@@ -96,7 +96,7 @@ def constants(
         raise ValueError("constants() needs a normalized spec; call normalize()")
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
     s = kd.dim
-    inv_inf = float(np.linalg.norm(kd.solvability_inv, np.inf))
+    inv_inf = float(np.linalg.norm(np.linalg.inv(kd.solvability), np.inf))
     W_norm = float(np.linalg.norm(kd.restricted_inverse, 2))
     A1_norm = float(np.linalg.norm(kd.averaged, 2))
     L = max(W_norm * (1.0 + A1_norm * s * inv_inf), s * inv_inf)

@@ -11,14 +11,18 @@ The right side is linear and non-autonomous.  An n x k block Y obeys
 
     Y' = M(t) Y + f(t) e_k^T,
 
-the forcing f entering the last column only, and ``field(t)`` returns the
-stacked [M(t) | f(t)] of shape (*shape(t), n, n + 1) at an array of times.
-The state, its stages and the dense output take the dtype of the initial
-state and the field together: float64 for a real system with a real start.
-The field does not depend on the state, so the times t + c_i h of every
-stage are known before any stage is formed: one ``field`` call per attempted
-step serves all of its stages, and one call serves the three extra stages of
-every step's dense output.
+the forcing f entering the last column only.  ``field`` is the
+``model.Sampler`` of the stacked [M | f], of shape (n, n + 1): ``field(t)``
+forms it at an array of times, and ``field.apply(t, Y)`` gives the right
+side at states without forming it.  The state, its stages and the dense
+output take the dtype of the initial state and the field's coefficients
+together: float64 for a real system with a real start.  The field does not
+depend on the state, so the times t + c_i h of every stage are known before
+any stage is formed, while each stage's state depends on the ones before
+it: one ``field`` call per attempted step serves all of its stages, and is
+the only place a field grid is formed.  Every other right side (at the
+start, at the trial point of the first step, at the extra stages of the
+dense output) is ``field.apply``.
 
 A step runs on one buffer Z: row 0 is the state, row 1 + j the derivative
 of stage j.  With the rows W = [1 | h A] of the tableau, scaled by h once
@@ -29,10 +33,11 @@ thus two numpy products, and the two error norms come from one reduction:
 the interpreter, not arithmetic, bounds the cost of a step at these sizes.
 
 Every stage is linear in the state, so the steps of a block run, contracted
-with a vector z of length k, are the steps of the trajectory Y(t) z, which
-solves y' = M y + z_k f.  The dense output of a block run is formed that way:
-the run keeps the stages the interpolant reads, and ``StepRecord.along(z)``
-contracts them before it forms the three extra stages, at k = 1 cost.
+with a vector z of length k that ends in 1, are the steps of the trajectory
+Y(t) z, which solves y' = M y + f.  The dense output of a block run is
+formed that way: the run keeps the stages the interpolant reads and the
+field, and ``StepRecord.along(z)`` contracts the stages before it forms the
+three extra stages with ``field.apply``, at k = 1 cost.
 
 Step-size control, as in DOP853: the error norm combines the order-5 and
 order-3 estimates; a step is accepted when that norm is below 1, and the
@@ -51,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepFailure
+from .model import Sampler
 
 # Nodes c_1..c_16 (0-based here).  Stage 12 (c = 1) is the end of the step,
 # whose derivative the next step reuses; stages 13..15 serve the dense output.
@@ -268,14 +274,6 @@ MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 
 
-def apply(F, Y):
-    """The right side at blocks Y of shape (..., n, k): M Y with f added to
-    the last column, for F = [M | f] of shape (..., n, n + 1)."""
-    out = F[..., :-1] @ Y
-    out[..., -1] += F[..., -1]
-    return out
-
-
 def _rms(v) -> float:
     return float(np.linalg.norm(v)) / math.sqrt(v.size)
 
@@ -315,30 +313,30 @@ class DenseOutput:
 class StepRecord:
     """What a forward run keeps for its dense output: the step boundaries
     ``t``, the n x k states ``y`` there, the ``stages`` of each step that
-    the interpolant reads (0 and 5..12), and ``extra_field``, the field at
-    each step's three extra stage times from one call at the end of the run.
-    Lists, not stacked arrays: stacking would copy the whole history."""
+    the interpolant reads (0 and 5..12), and the run's ``field``.  Lists,
+    not stacked arrays: stacking would copy the whole history."""
 
     t: np.ndarray
     y: list
     stages: list
-    extra_field: np.ndarray
+    field: Sampler
 
     def along(self, z) -> DenseOutput:
-        """The interpolant of the trajectory Y(t) z on this run's steps.
+        """The interpolant of the trajectory Y(t) z on this run's steps, for
+        a z of length k that ends in 1: ``field.apply`` adds the forcing
+        with weight 1, as the trajectory y' = M y + f has it.
 
         The kept stages are contracted with z first, so the extra stages and
         the coefficients are formed for one vector per step."""
         z = np.asarray(z)
         y = np.stack([Y @ z for Y in self.y])
         h = np.diff(self.t)
-        K = np.zeros((len(h), len(C), y.shape[1]), dtype=np.result_type(y, self.extra_field))
+        K = np.zeros((len(h), len(C), y.shape[1]), dtype=np.result_type(y, self.field.coeffs))
         K[:, _KEPT] = np.stack([k @ z for k in self.stages])
         hv = h[:, None]
-        for j, s in enumerate(range(STAGES + 1, len(C))):
+        for s in range(STAGES + 1, len(C)):
             stage = y[:-1] + hv * (A[s, :s] @ K[:, :s])
-            F = self.extra_field[:, j]
-            K[:, s] = (F[..., :-1] @ stage[..., None])[..., 0] + z[-1] * F[..., -1]
+            K[:, s] = self.field.apply(self.t[:-1] + C[s] * h, stage[..., None])[..., 0]
         dy = np.diff(y, axis=0)
         f_old, f_new = K[:, 0], K[:, STAGES]
         coeffs = np.empty((len(h), 7, dy.shape[1]), dtype=K.dtype)
@@ -373,39 +371,39 @@ def _initial_step(field, t0, y0, f0, t1, max_step, tol) -> float:
     if not 0 < h0 < math.inf:
         h0 = 1e-6
     h0 = min(h0, span)
-    F1 = field(np.array([t0 + h0 * direction]))[0]
-    f1 = apply(F1, y0 + h0 * direction * f0)
+    f1 = field.apply(t0 + h0 * direction, y0 + h0 * direction * f0)
     d = max(d1, _rms((f1 - f0) / scale) / h0)
     h1 = (0.01 / d) ** (-_EXPONENT) if d > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1, span, max_step)
 
 
-def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
+def solve(field: Sampler, y0, t0: float, t1: float, *, tol: float, max_step: float,
           dense: bool = False) -> Trajectory:
     """Integrate Y' = M(t) Y + f(t) e_k^T from (t0, y0) to t1, forward or
     backward in time, each step within ``tol`` relative and absolute.
 
-    ``y0`` is a vector (k = 1) or an n x k block; the result keeps its shape
-    and takes the dtype of ``y0`` and the field together.  ``dense`` asks a
-    forward run (t1 > t0) for a ``StepRecord``.  Raises ValueError for a
-    non-finite t0 or t1, a dense backward run, or a ``y0`` whose first axis
-    is not n, and StepFailure when the step size falls below 10
-    floating-point spacings at the current time.
+    ``field`` is the ``Sampler`` of [M | f], of shape (n, n + 1), in time:
+    ``ProblemSpec.field_map(omega, omega)``.  ``y0`` is a vector (k = 1) or
+    an n x k block; the result keeps its shape and takes the dtype of ``y0``
+    and the field's coefficients together.  ``dense`` asks a forward run
+    (t1 > t0) for a ``StepRecord``.  Raises ValueError for a non-finite t0
+    or t1, a dense backward run, or a ``y0`` whose first axis is not n, and
+    StepFailure when the step size falls below 10 floating-point spacings
+    at the current time.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0}, {t1}")
     if dense and t1 < t0:
         raise ValueError(f"dense output needs a forward run, got t0={t0} > t1={t1}")
     y0 = np.asarray(y0)
+    n = field.shape[0]
+    if y0.ndim not in (1, 2) or y0.shape[0] != n:
+        raise ValueError(f"y0 must have shape (n,) or (n, k) with n = {n}, got {y0.shape}")
+    Y = y0.reshape(n, -1).astype(np.result_type(float, y0, field.coeffs))
+    if t1 == t0:
+        return Trajectory(np.array([t0], dtype=float), Y.reshape(y0.shape), None)
+    direction = math.copysign(1.0, t1 - t0)
     with np.errstate(over="ignore", invalid="ignore"):
-        F0 = field(np.array([t0], dtype=float))[0]
-        n = F0.shape[0]
-        if y0.ndim not in (1, 2) or y0.shape[0] != n:
-            raise ValueError(f"y0 must have shape (n,) or (n, k) with n = {n}, got {y0.shape}")
-        Y = y0.reshape(n, -1).astype(np.result_type(float, y0, F0))
-        if t1 == t0:
-            return Trajectory(np.array([t0], dtype=float), Y.reshape(y0.shape), None)
-        direction = math.copysign(1.0, t1 - t0)
         # Z holds the state (row 0) and the derivative of stage j (row 1 + j)
         # as n x k blocks; a stage's state is W[s, :s+1] @ Z[:s+1] with the
         # rows W = [1 | h A] of the step.  The stage state sits in the first
@@ -419,7 +417,7 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
         Xa = np.zeros((n + 1, Y.shape[1]), dtype=Y.dtype)
         Xa[n, -1] = 1.0
         X, Xflat = Xa[:n], Xa[:n].reshape(-1)
-        Fbuf = np.empty((STAGES,) + F0.shape, dtype=F0.dtype)
+        Fbuf = np.empty((STAGES,) + field.shape, dtype=np.result_type(float, field.coeffs))
         e = np.empty((2, Y.size), dtype=Y.dtype)
         ev = e.view(np.float64)  # complex entries as (re, im) pairs
         derivs = Zflat[1:]
@@ -428,7 +426,7 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
             for s in range(1, STAGES + 1)
         ]
         Z[0] = Y
-        Z[1] = apply(F0, Y)
+        Z[1] = field.apply(t0, Y)
         ts, ys, ks = [float(t0)], [Y], []
         t = float(t0)
         finite = bool(np.isfinite(Z[1]).all())
@@ -490,11 +488,6 @@ def solve(field, y0, t0: float, t1: float, *, tol: float, max_step: float,
                 ks.append(Z[_KEPT_ROWS])
             Z[0] = X
             Z[1] = Z[STAGES + 1]
-        Y = Z[0].copy()
-        t_grid = np.array(ts)
-        record = None
-        if dense:
-            h = np.diff(t_grid)
-            extra = field(t_grid[:-1, None] + C[STAGES + 1 :] * h[:, None])
-            record = StepRecord(t=t_grid, y=ys, stages=ks, extra_field=extra)
-    return Trajectory(t_grid, Y.reshape(y0.shape), record)
+    t_grid = np.array(ts)
+    record = StepRecord(t=t_grid, y=ys, stages=ks, field=field) if dense else None
+    return Trajectory(t_grid, Z[0].reshape(y0.shape).copy(), record)

@@ -346,30 +346,22 @@ class ProblemSpec:
         return np.concatenate([B0, np.zeros((self.n, 1), dtype=B0.dtype)], axis=1)
 
     def field_map(self, omega, rate: float = 1.0) -> Sampler:
-        """t -> ``field(rate * t, omega)``, with B0/omega folded into the
-        constant term once.  The integrators take rate = omega, so that t is
-        time; ``field`` itself takes rate 1.  Its ``apply`` is the right side
-        at states, without the field."""
-        return self._stack.sampler(rate, self.real_mode, self._B0_stack / omega)
-
-    def field(self, tau, omega) -> np.ndarray:
-        """The right side [M(tau) + B0/omega | f(tau)] at phase(s) tau.
+        """t -> [M(rate t) + B0/omega | f(rate t)], the right side of the
+        system, with B0/omega folded into the constant term once.
 
         Columns 0..n-1 hold the system matrix A0 + B0/omega + sum B_l
         e^{i l tau}, column n the forcing d_0 + sum d_l e^{i l tau}, so that
-        x' = F[:, :n] x + F[:, n].  The matrix axes follow the axes of tau.
-        A real system gives a real array, evaluated in real arithmetic.
-        """
-        return self.field_map(omega)(tau)
+        x' = F[:, :n] x + F[:, n]; the matrix axes follow the axes of t.  A
+        real system gives real values, evaluated in real arithmetic.  The
+        integrators take rate = omega, so that t is time; at rate 1 the map
+        takes the phase tau.  Its ``apply`` is the right side at states,
+        without the field."""
+        return self._stack.sampler(rate, self.real_mode, self._B0_stack / omega)
 
     def system_matrix(self, tau, omega) -> np.ndarray:
-        """A0 + B0/omega + sum B_l e^{i l tau}: the matrix columns of ``field``."""
-        return self.field(tau, omega)[..., : self.n]
-
-    def forcing(self, tau) -> np.ndarray:
-        """d_0 + sum d_l e^{i l tau}: the last column of ``field``, which
-        does not depend on omega."""
-        return self.field(tau, 1.0)[..., self.n]
+        """A0 + B0/omega + sum B_l e^{i l tau}: the matrix columns of
+        ``field_map(omega)(tau)``."""
+        return self.field_map(omega)(tau)[..., : self.n]
 
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):
@@ -413,14 +405,20 @@ def _parse_entry(value, real_mode, where):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if not real_mode:
             raise SchemaError(f"{where}: bare number requires real_mode")
-        return complex(value)
-    if (
+        parts = (value,)
+    elif (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
-    raise SchemaError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        parts = value
+    else:
+        raise SchemaError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        # An integer literal beyond the float range; a float one reads as inf.
+        raise SchemaError(f"{where}: entry too large for floating point") from None
 
 
 def _parse_vector(entries, real_mode, where):
@@ -509,12 +507,16 @@ def serialize_problem(spec: ProblemSpec) -> dict:
 
 
 def load_problem(path) -> ProblemSpec:
-    """Read and validate a problem document from a JSON file."""
+    """Read and validate a problem document from a UTF-8 JSON file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, an integer past the interpreter's digit limit, or
+        # nesting past its recursion limit.
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
     return parse_problem(doc)

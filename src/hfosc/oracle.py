@@ -10,20 +10,21 @@ validated against these results, never the other way around.
 One right side serves every integration.  The package's own DOP853
 (``hfosc.dop853``, numpy only) advances an n x k state block Y at time t by
 (M(omega t) + B0/omega) Y with the forcing f(omega t) added to the last
-column.  It reads all of it, once per step for all stages, from
-``ProblemSpec.field_map(omega, omega)``: the coefficients behind
-``ProblemSpec.field``, with B0/omega folded in once per frequency.  A real
-system is integrated in float64 throughout.  With k = 1 the block is one
-trajectory, the solution through a given state.  With k = n + 1
-it is the fundamental system beside the forced response from zero, the block
-[I | 0] that ends at [Phi | v].  One such pass per frequency serves
-everything: the period map, x0, and the periodic solution, read from the
-block's dense output contracted with z = [x0; 1].  Runge-Kutta steps are
-linear in the state, so that is the trajectory from x0 on the block's own
-steps.  The same map's ``Sampler.apply`` gives the right side at states on
-arrays of times, which is how the integral-form defect of the sampled
-solution evaluates all Gauss nodes of a block of sample intervals at once,
-without forming the field at any of them.
+column.  It takes the ``Sampler`` that ``ProblemSpec.field_map(omega,
+omega)`` returns, with B0/omega folded in once per frequency: the field
+grid on the stage times of each attempted step, and ``Sampler.apply`` for
+every other right side.  A real system is integrated in float64
+throughout.  With k = 1 the block is one trajectory, the solution through a
+given state.  With k = n + 1 it is the fundamental system beside the forced
+response from zero, the block [I | 0] that ends at [Phi | v].  One such
+pass per frequency serves everything: the period map, x0, and the periodic
+solution, read from the block's dense output contracted with z = [x0; 1].
+Runge-Kutta steps are linear in the state, so that is the trajectory from
+x0 on the block's own steps.  The same map's ``apply`` gives the right side
+at states on arrays of times, which is how the integral-form defect of the
+sampled solution evaluates all Gauss nodes of a block of sample intervals
+at once, without forming the field at any of them.  ``periodic_solution``
+builds that map once and uses it for the pass and the defect.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ def _check_omega(omega) -> None:
         raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
-def _solve(spec, omega, y0, t0, t1, dense=False):
+def _solve(field, omega, y0, t0, t1, dense=False):
     # Imported here: commands that never integrate skip the integrator's
     # module and its tableau.
     from .dop853 import solve
 
     return solve(
-        spec.field_map(omega, omega),
+        field,
         y0,
         t0,
         t1,
@@ -78,21 +79,21 @@ def integrate(spec: ProblemSpec, omega, x0, t0, t1):
     """State at t1 of the solution through (t0, x0).  Raises ValueError for
     a non-finite t0 or t1 and for an x0 whose first axis is not n."""
     _check_omega(omega)
-    return _solve(spec, omega, x0, t0, t1).y
+    return _solve(spec.field_map(omega, omega), omega, x0, t0, t1).y
 
 
 def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
     """Period map Phi(T), T = 2 pi / omega, from the matrix equation."""
     _check_omega(omega)
-    return _period_pass(spec, omega).y[:, : spec.n]
+    return _period_pass(spec.field_map(omega, omega), omega).y[:, : spec.n]
 
 
-def _period_pass(spec, omega, dense=False):
+def _period_pass(field, omega, dense=False):
     """One pass over a period from the block [I | 0], whose last column alone
     picks up the forcing: it ends at [Phi | v], the period map beside the
     forced response from zero."""
-    n = spec.n
-    return _solve(spec, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega, dense=dense)
+    n = field.shape[0]
+    return _solve(field, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega, dense=dense)
 
 
 def _multipliers(Phi) -> np.ndarray:
@@ -128,12 +129,12 @@ class PeriodicOracleSolution:
     unique_margin: float
 
 
-def _fixed_point(spec, omega):
+def _fixed_point(field, omega):
     """Phi, x0, sigma_min(I - Phi) and the interpolant of the periodic
-    solution, all from one period pass.  The pass's step record is dropped
-    on return, before the caller's defect quadrature."""
-    n = spec.n
-    traj = _period_pass(spec, omega, dense=True)
+    solution, all from one period pass with ``field``.  The pass's step
+    record is dropped on return, before the caller's defect quadrature."""
+    n = field.shape[0]
+    traj = _period_pass(field, omega, dense=True)
     Phi, forced = traj.y[:, :n], traj.y[:, n]
     gap = np.eye(n) - Phi
     unique_margin = float(np.linalg.svd(gap, compute_uv=False)[-1])
@@ -158,7 +159,8 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     T = 2 * np.pi / omega
-    Phi, x0, unique_margin, sol = _fixed_point(spec, omega)
+    field = spec.field_map(omega, omega)
+    Phi, x0, unique_margin, sol = _fixed_point(field, omega)
     t = np.linspace(0.0, T, n_samples + 1)
     x = sol(t)
     x[0] = x0
@@ -166,7 +168,6 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
 
     mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
     steps = np.diff(x, axis=0)
-    field = spec.field_map(omega, omega)
     defect = 0.0
     for i in range(0, n_samples, _DEFECT_BLOCK):
         block = slice(i, i + _DEFECT_BLOCK)

@@ -59,8 +59,6 @@ class KernelData:
         The matrix A1 defined above.
     solvability : (s, s) array
         S[k, j] = z_k^H A1 a_j.  Nonsingular in the admissible case.
-    solvability_inv : (s, s) array
-        Inverse of ``solvability``.
     restricted_inverse : (n, n) array
         W with A0 W g = g for g in range(A0) and W g orthogonal to ker(A0).
     sigma : (n,) array
@@ -77,7 +75,6 @@ class KernelData:
     left_kernel: np.ndarray
     averaged: np.ndarray
     solvability: np.ndarray
-    solvability_inv: np.ndarray
     restricted_inverse: np.ndarray
     sigma: np.ndarray
     solvability_sigma_min: float
@@ -130,7 +127,6 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
         left_kernel=left_kernel,
         averaged=A1,
         solvability=solvability,
-        solvability_inv=np.linalg.inv(solvability),
         restricted_inverse=restricted_inverse,
         sigma=sigma,
         solvability_sigma_min=sigma_min,

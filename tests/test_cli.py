@@ -84,6 +84,39 @@ def test_malformed_document_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_input_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
+def test_document_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    _assert_input_error(capsys, ["analyze", str(path)], "is not UTF-8 text")
+
+
+def test_document_nested_past_the_recursion_limit_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    _assert_input_error(capsys, ["analyze", str(path)], "is not valid JSON")
+
+
+def test_entry_past_the_float_range_exits_one(tmp_path, capsys):
+    doc = serialize_problem(fixtures.borderline_stable())
+    doc["A0"][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    _assert_input_error(capsys, ["analyze", str(path)], "A0[0][0]: entry too large")
+
+
+@pytest.mark.parametrize("omega", ["1e-300", "1e308"])
+def test_evaluate_past_the_float_range_exits_one(capsys, omega):
+    argv = ["evaluate", str(FIXTURES / "random_n3_m1.json"), "--omega", omega, "--samples", "2"]
+    _assert_input_error(capsys, argv, "is not finite")
+
+
 def test_no_zero_eigenvalue_exits_two(tmp_path, capsys):
     path = _write(tmp_path, fixtures.scalar_decay())
     assert main(["analyze", path]) == 2

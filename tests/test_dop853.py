@@ -1,13 +1,48 @@
 """The numpy DOP853 against its tableau conditions and against scipy's
 DOP853, which the tests use as the reference and the package never loads."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from hfosc import dop853, fixtures
 from hfosc.errors import StepFailure
+from hfosc.model import Sampler, TrigPoly
 from hfosc.oracle import INTEGRATOR_TOL, integrate, monodromy, periodic_solution
+
+
+def _constant(F):
+    """The constant field [M | f] = F as a real ``Sampler``."""
+    return TrigPoly.constant(F).sampler(real=True)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Counting(Sampler):
+    """A ``Sampler`` that logs the shape of the times of each call."""
+
+    log: list = dataclasses.field(default_factory=list)
+
+    def __call__(self, t):
+        self.log.append(("field", np.shape(t)))
+        return super().__call__(t)
+
+    def apply(self, t, Y):
+        self.log.append(("apply", np.shape(t)))
+        return super().apply(t, Y)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _NanFrom(Sampler):
+    """A ``Sampler`` whose basis, and so its field, is NaN from time ``start`` on."""
+
+    start: float
+
+    def basis(self, t):
+        out = super().basis(t)
+        out[np.asarray(t) >= self.start] = np.nan
+        return out
 
 
 def test_tableau_row_sums_equal_the_nodes():
@@ -72,7 +107,7 @@ def test_steps_follow_scipy_step_sequence():
     omega = 80.0
     T = 2 * np.pi / omega
     traj = dop853.solve(
-        lambda t: spec.field(omega * t, omega), np.eye(6, 7), 0.0, T,
+        spec.field_map(omega, omega), np.eye(6, 7), 0.0, T,
         tol=INTEGRATOR_TOL, max_step=T / 16,
     )
     ref = _reference(spec, omega, np.eye(6, 7), T)
@@ -85,21 +120,21 @@ def test_one_field_call_per_attempted_step():
     spec = fixtures.random_admissible(seed=1, n=4, m=2)
     omega = 50.0
     T = 2 * np.pi / omega
-    calls = []
-
-    def field(t):
-        calls.append(np.shape(t))
-        return spec.field(omega * t, omega)
-
+    field = _Counting(**vars(spec.field_map(omega, omega)))
     traj = dop853.solve(
         field, np.ones(4), 0.0, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=True,
     )
-    # The derivative at t0, the trial point of the first step, one call per
-    # attempted step on its 12 stage times, and one for all dense stages.
-    assert calls[:2] == [(1,), (1,)]
-    assert len(calls) - 3 >= len(traj.t) - 1
-    assert set(calls[2:-1]) == {(dop853.STAGES,)}
-    assert calls[-1] == (len(traj.t) - 1, 3)
+    # The right side at t0 and at the trial point of the first step, then
+    # one field grid per attempted step on its 12 stage times, and nothing
+    # more: the run forms no grid for its dense output.
+    log = field.log
+    assert log[:2] == [("apply", ()), ("apply", ())]
+    assert len(log) - 2 >= len(traj.t) - 1
+    assert set(log[2:]) == {("field", (dop853.STAGES,))}
+    # The three extra stages of every step, one right side each.
+    del log[:]
+    traj.dense.along([1.0])
+    assert log == [("apply", (len(traj.t) - 1,))] * 3
 
 
 def test_integrate_there_and_back_returns_the_start():
@@ -118,11 +153,7 @@ def test_integrate_there_and_back_returns_the_start():
 
 def test_non_finite_field_stalls_with_step_failure():
     # NaN from t = 0.5 on: every step across it is rejected down to the floor.
-    def field(t):
-        F = np.zeros(np.shape(t) + (1, 2), dtype=complex)
-        F[..., 0, 0] = np.where(np.asarray(t) < 0.5, -1.0, np.nan)
-        return F
-
+    field = _NanFrom(**vars(_constant([[-1.0, 0.0]])), start=0.5)
     with pytest.raises(StepFailure, match="integration stalled at t=0.5") as info:
         dop853.solve(field, [1.0], 0.0, 1.0, tol=1e-12, max_step=0.1)
     assert "non-finite" in str(info.value)
@@ -134,10 +165,7 @@ def test_block_contracted_with_z_is_the_trajectory_from_its_start():
     spec = fixtures.random_admissible(seed=5, n=4, m=2)
     omega = 60.0
     T = 2 * np.pi / omega
-
-    def field(t):
-        return spec.field(omega * t, omega)
-
+    field = spec.field_map(omega, omega)
     x0 = np.linspace(-1.0, 1.0, 4)
     block = dop853.solve(field, np.eye(4, 5), 0.0, T, tol=INTEGRATOR_TOL,
                          max_step=T / 16, dense=True)
@@ -153,12 +181,11 @@ def test_block_contracted_with_z_is_the_trajectory_from_its_start():
 @pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (np.inf, 1.0), (0.0, -np.inf)])
 def test_solve_needs_finite_times(t0, t1):
     with pytest.raises(ValueError, match="finite"):
-        dop853.solve(lambda t: np.zeros(np.shape(t) + (1, 2)), [1.0], t0, t1,
-                     tol=1e-12, max_step=0.1)
+        dop853.solve(_constant([[0.0, 0.0]]), [1.0], t0, t1, tol=1e-12, max_step=0.1)
 
 
 def test_dense_output_needs_a_forward_run():
-    field = lambda t: np.full(np.shape(t) + (1, 2), -1.0)  # noqa: E731
+    field = _constant([[-1.0, -1.0]])
     with pytest.raises(ValueError, match="forward"):
         dop853.solve(field, [1.0], 1.0, 0.0, tol=1e-12, max_step=0.1, dense=True)
     back = dop853.solve(field, [1.0], 1.0, 0.0, tol=1e-12, max_step=0.1)
@@ -166,7 +193,7 @@ def test_dense_output_needs_a_forward_run():
 
 
 def test_solve_needs_a_state_of_the_field_dimension():
-    field = lambda t: np.zeros(np.shape(t) + (2, 3))  # noqa: E731
+    field = _constant(np.zeros((2, 3)))
     for y0 in ([1.0], np.ones((3, 2)), 1.0):
         with pytest.raises(ValueError, match="n = 2"):
             dop853.solve(field, y0, 0.0, 1.0, tol=1e-12, max_step=0.1)

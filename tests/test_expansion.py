@@ -170,10 +170,10 @@ def test_ode_residual_decays_at_matched_rate():
     exp = expand(spec, order=3)
     omegas = np.array([100.0, 200.0, 400.0])
     for r in (1, 2, 3):
-        res = [ode_residual(spec, exp, r, w, samples=64) for w in omegas]
+        res = [ode_residual(spec, exp, r, w) for w in omegas]
         slope = np.polyfit(np.log(omegas), np.log(res), 1)[0]
         assert abs(slope + r) < 0.35, (r, slope, res)
-    flat = [ode_residual(spec, exp, 0, w, samples=64) for w in omegas]
+    flat = [ode_residual(spec, exp, 0, w) for w in omegas]
     assert max(flat) < 10.0 * min(flat)  # order 0 leaves an O(1) defect
 
 
@@ -197,6 +197,16 @@ def test_partial_sum_shapes():
     assert partial_sum(exp, 1, 50.0, np.zeros(5)).shape == (5, 3)
     grid = np.zeros((2, 4))
     assert partial_sum(exp, 1, 50.0, grid).shape == (2, 4, 3)
+
+
+@pytest.mark.parametrize("omega", [1e-300, 1e308])
+def test_partial_sum_past_the_float_range_raises_non_finite(omega):
+    # omega^-2 overflows at 1e-300, the O(omega) term at 1e308.
+    exp = expand(fixtures.random_admissible(seed=2, n=3, m=1), order=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="partial sum .* is not finite"):
+            partial_sum(exp, 2, omega, np.linspace(0.0, 1.0, 3))
 
 
 def test_overflow_raises_a_typed_error_without_warnings():

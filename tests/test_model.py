@@ -357,17 +357,27 @@ def test_real_values_are_the_real_part_in_real_arithmetic():
         assert np.allclose(got, poly(taus).real, rtol=0, atol=1e-13)
 
 
-def test_system_matrix_and_forcing():
-    spec = fixtures.random_admissible(2, n=3, m=2, s=1)
-    tau, omega = 0.7, 55.0
+def _explicit_field(spec, tau, omega):
+    """[A0 + B0/omega + sum B_l e^{i l tau} | sum d_l e^{i l tau}], summed
+    term by term at one phase."""
     M = spec.A0 + spec.B0 / omega
     for l, Bl in spec.B.items():
         M = M + np.exp(1j * l * tau) * Bl
-    assert np.allclose(spec.system_matrix(tau, omega), M, atol=1e-14)
-    f = sum(np.exp(1j * l * tau) * v for l, v in spec.d.items())
-    assert np.allclose(spec.forcing(tau), f, atol=1e-14)
+    f = sum((np.exp(1j * l * tau) * v for l, v in spec.d.items()), np.zeros(spec.n))
+    return M, f
+
+
+def test_system_matrix_and_forcing():
+    spec = fixtures.random_admissible(2, n=3, m=2, s=1)
+    tau, omega = 0.7, 55.0
+    M, f = _explicit_field(spec, tau, omega)
+    F = spec.field_map(omega)(tau)
+    assert F.shape == (3, 4)
+    assert np.allclose(F[:, :3], M, atol=1e-14)
+    assert np.allclose(F[:, 3], f, atol=1e-14)
+    assert np.array_equal(spec.system_matrix(tau, omega), F[:, :3])
     unforced = fixtures.borderline_stable()
-    assert np.array_equal(unforced.forcing(tau), np.zeros(3))
+    assert np.array_equal(unforced.field_map(omega)(tau)[:, 3], np.zeros(3))
     assert np.array_equal(unforced.d0, np.zeros(3))
 
 
@@ -375,20 +385,13 @@ def test_system_matrix_and_forcing_accept_phase_arrays():
     spec = fixtures.random_admissible(2, n=3, m=2, s=1)
     omega = 55.0
     taus = np.linspace(0.0, 2 * np.pi, 12).reshape(3, 4)
-    M = spec.system_matrix(taus, omega)
-    f = spec.forcing(taus)
-    assert M.shape == (3, 4, 3, 3) and f.shape == (3, 4, 3)
+    F = spec.field_map(omega)(taus)
+    assert F.shape == (3, 4, 3, 4)
+    assert np.array_equal(spec.system_matrix(taus, omega), F[..., :3])
     for idx in np.ndindex(taus.shape):
-        assert np.allclose(M[idx], spec.system_matrix(taus[idx], omega), atol=1e-14)
-        assert np.allclose(f[idx], spec.forcing(taus[idx]), atol=1e-14)
-    # field is the system matrix with the forcing as its last column.
-    for tau in (0.7, taus):
-        F = spec.field(tau, omega)
-        assert F.shape == np.shape(tau) + (3, 4)
-        stacked = np.concatenate(
-            [spec.system_matrix(tau, omega), spec.forcing(tau)[..., None]], axis=-1
-        )
-        assert np.array_equal(F, stacked)
+        M, f = _explicit_field(spec, taus[idx], omega)
+        assert np.allclose(F[idx][:, :3], M, atol=1e-14)
+        assert np.allclose(F[idx][:, 3], f, atol=1e-14)
 
 
 def test_poly_arithmetic_is_blind_to_zero_padding():
@@ -414,13 +417,16 @@ def test_field_map_in_time_is_the_field_at_omega_t(real_mode):
     omega = 137.0
     t = np.random.default_rng(2).uniform(0.0, 2 * np.pi / omega, size=(3, 7))
     got = spec.field_map(omega, omega)(t)
-    want = spec.field(omega * t, omega)
+    want = spec.field_map(omega)(omega * t)
     assert got.dtype == want.dtype == (np.float64 if real_mode else np.complex128)
     assert got.shape == t.shape + (5, 6)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # At rate 1 the map is the field itself, and its last column the forcing.
-    assert np.array_equal(spec.field_map(omega)(t), spec.field(t, omega))
-    assert np.allclose(spec.field(t, omega)[..., 5], spec.forcing(t), rtol=0, atol=1e-14)
+    # At rate 1 the map takes the phase: the explicit sums, the forcing last.
+    for idx in np.ndindex(t.shape):
+        M, f = _explicit_field(spec, omega * t[idx], omega)
+        scale = np.max(np.abs(M))
+        assert np.max(np.abs(got[idx][:, :5] - M)) <= 1e-13 * scale
+        assert np.max(np.abs(got[idx][:, 5] - f)) <= 1e-13 * scale
 
 
 def test_sampler_basis_times_coefficients_is_the_polynomial():

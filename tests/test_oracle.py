@@ -43,6 +43,21 @@ def test_scalar_relaxation_closed_form():
     assert verdict.margin == pytest.approx(math.exp(-T) - 1.0, abs=1e-10)
 
 
+def test_periodic_solution_builds_one_field_map(monkeypatch):
+    # The period pass and the defect quadrature share one map per frequency.
+    spec = fixtures.random_admissible(seed=2, n=3, m=2, s=1)
+    built = []
+    field_map = ProblemSpec.field_map
+
+    def counted(self, *args):
+        built.append(args)
+        return field_map(self, *args)
+
+    monkeypatch.setattr(ProblemSpec, "field_map", counted)
+    periodic_solution(spec, 40.0)
+    assert built == [(40.0, 40.0)]
+
+
 def test_one_right_side_for_trajectories_and_blocks():
     spec = fixtures.random_admissible(seed=2, n=3, m=2, s=1)
     omega = 40.0
@@ -51,7 +66,7 @@ def test_one_right_side_for_trajectories_and_blocks():
 
     def direct(t, Y):
         out = spec.system_matrix(omega * t, omega) @ Y
-        out[:, -1] += spec.forcing(omega * t)
+        out[:, -1] += spec.forcing_poly()(omega * t)
         return out
 
     # The period-map block [Phi | forced response] at one time ...
@@ -80,7 +95,7 @@ def test_contracted_rhs_equals_the_field_times_the_states(real_mode, k):
     t = rng.uniform(0.0, 2 * np.pi / omega, size=(4, 10))
     Y = rng.standard_normal((4, 10, spec.n, cols)) + 1j * rng.standard_normal((4, 10, spec.n, cols))
     want = spec.system_matrix(omega * t, omega) @ Y
-    want[..., -1] += spec.forcing(omega * t)
+    want[..., -1] += spec.forcing_poly()(omega * t)
     got = spec.field_map(omega, omega).apply(t, Y)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
