@@ -171,6 +171,11 @@ def char_poly_series(ms: Series) -> list:
     Faddeev-LeVerrier in series arithmetic: M_1 = I, c_k = -tr(A M_k)/k,
     M_{k+1} = A M_k + c_k I.  Works over any commutative ring, so the
     truncated-series coefficients are exact up to rounding.
+
+    Chained by hand with ``hurwitz_series`` and ``classify``, it has no
+    constant-term fallback (``analyze_stability``): rounding constant terms
+    read as leaders, and the stable constructed n = 28 (seed 2) and n = 32
+    systems come out Unstable.
     """
     n = ms.coeffs.shape[-1]
     eye = np.eye(n)
@@ -205,7 +210,8 @@ def hurwitz_series(alphas: list) -> list:
     det(B / eps), so its layers move down one order and m is added to the
     minor's eps-power.  The top layer that this leaves unknown only reaches
     orders above the truncation.  A minor whose eps-power passes ``trunc``
-    is zero through the truncation.  The cost is O(n^4 trunc^2).
+    is zero through the truncation.  The cost is O(n^4 trunc^2).  Chained
+    by hand it gives wrong verdicts: see ``char_poly_series``.
     """
     if not alphas:
         raise ValueError("hurwitz_series needs at least one coefficient alpha_1")
@@ -290,13 +296,12 @@ def hurwitz_series(alphas: list) -> list:
         # Schur complement: rest - f * row.
         update = toeplitz(W[:, 0, 1:]).reshape(m, m * width, width) @ f
         W = W[:, 1:, 1:] - update.reshape(m, m, width, m).transpose(0, 3, 1, 2)
-    # The last row of H_n is (0, ..., 0, alpha_n).
-    last = alphas[-1].truncated(trunc)
-    minors.append(last * minors[-1] if minors else last)
+    # The last row of H_n is (0, ..., 0, alpha_n); for n = 1 alpha_1 sets trunc.
+    minors.append(alphas[-1] * minors[-1] if minors else alphas[-1])
     return minors
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class StabilityVerdict:
     """Outcome of the series test.
 
@@ -308,8 +313,8 @@ class StabilityVerdict:
     truncation can settle it), when a minor has a non-finite coefficient, or
     when ``analyze_stability`` found the characteristic series or the minors
     of a real system too inexact; in these last cases ``leaders`` and
-    ``zero_ratios`` are empty, and ``imag_ratio`` is None unless the minors'
-    imaginary parts were what failed.
+    ``zero_ratios`` keep their empty defaults, and ``imag_ratio`` is None
+    unless the minors' imaginary parts were what failed.
 
     The measured quantities stand next to their thresholds: ``imag_ratio``
     is the largest imaginary part of any minor relative to that minor's
@@ -319,13 +324,13 @@ class StabilityVerdict:
     """
 
     kind: str
-    leaders: tuple
+    leaders: tuple = ()
     trunc: int
     zero_tol: float
     detail: str
-    imag_ratio: float | None
-    imag_tol: float
-    zero_ratios: tuple
+    imag_ratio: float | None = None
+    imag_tol: float = IMAG_TOL
+    zero_ratios: tuple = ()
 
 
 def _minor_scale(coeffs) -> float:
@@ -335,15 +340,20 @@ def _minor_scale(coeffs) -> float:
 def _imag_ratio(minors: list, trunc: int) -> float:
     """The largest imaginary part of any minor through ``trunc``, relative to
     that minor's scale: its coefficients reach 1e12 and more for n >= 9,
-    where rounding alone leaves imaginary parts above 1e-6."""
-    return max(
+    where rounding alone leaves imaginary parts above 1e-6.  A non-finite
+    minor can make it NaN, which the numpy max passes on."""
+    return float(np.max([
         float(np.max(np.abs(mnr.coeffs[: trunc + 1].imag))) / _minor_scale(mnr.coeffs[: trunc + 1])
         for mnr in minors
-    )
+    ]))
 
 
 def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
-    """Sign-of-leading-coefficient test on the Hurwitz minor series."""
+    """Sign-of-leading-coefficient test on the Hurwitz minor series.
+
+    Raises NotRealError on minors complex beyond ``IMAG_TOL``.  Chained by
+    hand it gives wrong verdicts: see ``char_poly_series``.
+    """
     if not minors:
         raise ValueError("classify needs at least one Hurwitz minor")
     trunc = min(mnr.trunc for mnr in minors)
@@ -351,10 +361,9 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
            if not np.isfinite(mnr.coeffs[: trunc + 1]).all()]
     if bad:
         return StabilityVerdict(
-            kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
+            kind="Inconclusive", trunc=trunc, zero_tol=zero_tol,
             detail=f"non-finite coefficients in {', '.join(bad)} (overflow or "
             "invalid arithmetic): no sign test",
-            imag_ratio=None, imag_tol=IMAG_TOL, zero_ratios=(),
         )
     worst_imag = _imag_ratio(minors, trunc)
     if worst_imag > IMAG_TOL:
@@ -364,7 +373,6 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
         )
     leaders = []
     zero_ratios = []
-    notes = []
     for mnr in minors:
         coeffs = mnr.coeffs[: trunc + 1]
         scale = _minor_scale(coeffs)
@@ -372,27 +380,15 @@ def classify(minors: list, zero_tol: float = ZERO_TOL) -> StabilityVerdict:
         lead = int(big[0]) if len(big) else len(coeffs)
         leaders.append((lead, float(coeffs[lead].real)) if len(big) else None)
         zero_ratios.append(float(np.abs(coeffs[:lead]).max(initial=0.0)) / scale)
-    kind = "Stable"
-    for j, leader in enumerate(leaders, start=1):
-        if leader is not None and leader[1] < 0:
-            kind = "Unstable"
-            notes.append(f"D_{j} leads with {leader[1]:.6g} at order {leader[0]}")
-    if kind != "Unstable":
-        for j, leader in enumerate(leaders, start=1):
-            if leader is None:
-                kind = "Inconclusive"
-                notes.append(f"D_{j} vanishes through order {trunc}")
-    if kind == "Stable":
-        notes.append("all minors lead with positive coefficients")
+    numbered = list(enumerate(leaders, start=1))
+    negative = [f"D_{j} leads with {lead[1]:.6g} at order {lead[0]}"
+                for j, lead in numbered if lead is not None and lead[1] < 0]
+    vanished = [f"D_{j} vanishes through order {trunc}" for j, lead in numbered if lead is None]
+    kind = "Unstable" if negative else "Inconclusive" if vanished else "Stable"
     return StabilityVerdict(
-        kind=kind,
-        leaders=tuple(leaders),
-        trunc=trunc,
-        zero_tol=zero_tol,
-        detail="; ".join(notes),
-        imag_ratio=worst_imag,
-        imag_tol=IMAG_TOL,
-        zero_ratios=tuple(zero_ratios),
+        kind=kind, leaders=tuple(leaders), trunc=trunc, zero_tol=zero_tol,
+        detail="; ".join(negative or vanished or ["all minors lead with positive coefficients"]),
+        imag_ratio=worst_imag, zero_ratios=tuple(zero_ratios),
     )
 
 
@@ -411,7 +407,8 @@ def analyze_stability(
     constant term; rounding left there above ``zero_tol`` of the alpha's
     largest coefficient (n >= 28) would pass for a leader: Inconclusive.
     So are minors whose imaginary parts, rounding in a real system, exceed
-    ``IMAG_TOL`` of their scale, where ``classify`` would raise NotRealError.
+    ``IMAG_TOL`` of their scale: that exit returns before ``classify``, which
+    would raise NotRealError on them.
     """
     if not spec.real_mode:
         raise NotRealError("stability series test requires real_mode")
@@ -428,23 +425,19 @@ def analyze_stability(
             f"constant term of {ratios[k]:.3e} of its largest coefficient, above "
             f"zero_tol {zero_tol:g}: too inexact for the sign test"
         )
-        return StabilityVerdict(
-            kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
-            detail=detail, imag_ratio=None, imag_tol=IMAG_TOL, zero_ratios=(),
-        )
+        return StabilityVerdict(kind="Inconclusive", trunc=trunc, zero_tol=zero_tol, detail=detail)
     minors = hurwitz_series(alphas)
-    try:
-        return classify(minors, zero_tol=zero_tol)
-    except NotRealError:
-        # A real system's minors are real: the imaginary parts they keep are
-        # rounding, and above IMAG_TOL they leave the minors too inexact.
-        imag = _imag_ratio(minors, min(mnr.trunc for mnr in minors))
-    detail = (
-        f"Hurwitz minors of this real system keep imaginary parts up to {imag:.3e} "
-        f"of their largest coefficient from rounding, above imag_tol {IMAG_TOL:g}: "
-        f"too inexact for the sign test"
-    )
-    return StabilityVerdict(
-        kind="Inconclusive", leaders=(), trunc=trunc, zero_tol=zero_tol,
-        detail=detail, imag_ratio=imag, imag_tol=IMAG_TOL, zero_ratios=(),
-    )
+    # A real system's minors are real: the imaginary parts they keep are
+    # rounding, and above IMAG_TOL they leave the minors too inexact.  NaN
+    # fails the comparison, so non-finite minors reach classify's own exit.
+    imag = _imag_ratio(minors, trunc)
+    if imag > IMAG_TOL:
+        detail = (
+            f"Hurwitz minors of this real system keep imaginary parts up to {imag:.3e} "
+            f"of their largest coefficient from rounding, above imag_tol {IMAG_TOL:g}: "
+            f"too inexact for the sign test"
+        )
+        return StabilityVerdict(
+            kind="Inconclusive", trunc=trunc, zero_tol=zero_tol, detail=detail, imag_ratio=imag
+        )
+    return classify(minors, zero_tol=zero_tol)

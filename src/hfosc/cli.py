@@ -200,7 +200,8 @@ def _cmd_slope(spec, args):
         "order": rep.order,
         "omegas": list(rep.omegas),
         "errors": list(rep.errors),
-        "slope": rep.slope,
+        # NaN when every error sits at rounding level (d = 0 gives x = 0).
+        "slope": None if math.isnan(rep.slope) else rep.slope,
         "expected": -(rep.order + 1),
     }
     lines = [f"order {rep.order} error against the reference solution:"]
@@ -241,14 +242,22 @@ def _cmd_validate(spec, args):
     below("partial_inverse_orthogonality", worst_perp, DEFECT_TOL)
 
     exp = expand(spec, args.order, kernel_data=kd)
+    # The levels grow geometrically, so each defect is measured against
+    # max(1, the size of its data).  Sweep e closes 0 = A0 x_e + A1 v_{e-1}
+    # + theta_e for C_{e-1}; the last sweep's theta and x are not kept.
+    a1 = float(np.linalg.norm(kd.averaged, 2))
+    coeffs = [exp.leading] + [lev.kernel_coeff for lev in exp.levels]
+    defects = [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels]
+    sizes = [max(safe_norm(lev.forcing), safe_norm(lev.mean)) for lev in exp.levels] + [0.0]
     defect = max(
-        [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels]
+        d / max(1.0, a1 * safe_norm(c), size) for d, c, size in zip(defects, coeffs, sizes)
     )
-    below("expansion_solvability_defect", defect, DEFECT_TOL)
+    below("expansion_solvability_defect", float(defect), DEFECT_TOL)
     ortho = max(
-        float(np.max(np.abs(kd.kernel.conj().T @ lev.mean))) for lev in exp.levels
+        np.max(np.abs(kd.kernel.conj().T @ lev.mean)) / max(1.0, safe_norm(lev.mean))
+        for lev in exp.levels
     )
-    below("expansion_mean_orthogonality", ortho, DEFECT_TOL)
+    below("expansion_mean_orthogonality", float(ortho), DEFECT_TOL)
     sup_ok = all(
         not lev.osc.coeffs
         or (0 not in lev.osc.coeffs and max(abs(l) for l in lev.osc.coeffs) <= (k + 1) * spec.m)

@@ -163,9 +163,6 @@ class TrigPoly:
     def mean(self) -> np.ndarray:
         return self.data[self.H]
 
-    def support(self) -> tuple:
-        return tuple(self.coeffs)
-
     def _column(self, factors: np.ndarray) -> np.ndarray:
         """One factor per row, shaped to broadcast against ``data``."""
         return factors.reshape((-1,) + (1,) * len(self.shape))

@@ -475,6 +475,38 @@ def test_rounding_in_real_minors_gives_no_verdict():
     assert analyze_stability(spec, trunc=37).kind == "Unstable"
 
 
+
+def test_imaginary_part_exit_returns_without_classify(monkeypatch):
+    import hfosc.averaging as averaging
+
+    calls = []
+    real = averaging.classify
+
+    def counting(minors, zero_tol):
+        calls.append(len(minors))
+        return real(minors, zero_tol=zero_tol)
+
+    monkeypatch.setattr(averaging, "classify", counting)
+    spec = load_problem(pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "random_n3_m1.json")
+    assert analyze_stability(spec, trunc=38).kind == "Inconclusive"
+    assert calls == []
+    assert analyze_stability(spec, trunc=37).kind == "Unstable"
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.inf, np.inf), complex(1.0, np.inf)])
+def test_non_finite_minors_keep_precedence_over_imaginary_parts(monkeypatch, bad):
+    # D_3 alone would fail the imaginary-part test; the NaN ratio of D_2
+    # sends the minors on to classify's non-finite exit instead.
+    import hfosc.averaging as averaging
+
+    minors = [Series((1.0, 0.0)), Series((bad, 1.0)), Series((1.0, 1e-3j))]
+    monkeypatch.setattr(averaging, "hurwitz_series", lambda alphas: minors)
+    verdict = analyze_stability(fixtures.random_admissible(seed=0, n=3, m=1), trunc=1)
+    assert verdict.kind == "Inconclusive"
+    assert "non-finite coefficients in D_2 " in verdict.detail
+    assert verdict.imag_ratio is None and verdict.leaders == ()
+
 def test_averaging_transform_raises_on_overflow():
     spec = fixtures.random_admissible(seed=0, n=3, m=1)
     big = ProblemSpec(

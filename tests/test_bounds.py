@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from hfosc.bounds import (
     normalize,
 )
 from hfosc.expansion import expand, partial_sum
-from hfosc.model import ProblemSpec
+from hfosc.model import ProblemSpec, load_problem
 
 
 def _scaled_up(spec, factor):
@@ -128,3 +130,19 @@ def test_growth_check_validates_p_max():
         check_growth(exp, cc, p_max=-1)
     short = check_growth(exp, cc, p_max=2)
     assert short.p_max == 2 and len(short.theta_norms) == 3
+
+
+def test_growth_budget_past_the_float_range_holds():
+    # (K (K L + 1))^p overflows from p = 113 for this fixture; the budget
+    # is then inf and the bound holds, where a Python float power raises.
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "random_n3_m1.json"
+    prime, _ = normalize(load_problem(path))
+    cc = constants(prime)
+    report = check_growth(expand(prime, order=120), cc)
+    assert report.all_ok and report.first_violation is None
+    assert np.isfinite(report.theta_norms).all()
+    with np.errstate(over="ignore"):
+        budget = np.float64(cc.K * (cc.K * cc.L + 1.0)) ** np.arange(121.0)
+    assert np.isinf(budget[113:]).all() and np.isfinite(budget[:112]).all()
+    with pytest.raises(OverflowError):
+        (cc.K * (cc.K * cc.L + 1.0)) ** 120

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -509,3 +510,80 @@ def test_json_reports_refuse_non_finite_numbers(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "non-finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.json")))
+@pytest.mark.parametrize(
+    "command", ["analyze", "expand", "evaluate", "stability", "slope", "validate"]
+)
+def test_both_formats_give_the_same_exit_code(capsys, command, fixture):
+    # An exception would end this test; a JSON report must parse, and an
+    # error must read the same in both formats.
+    path = str(FIXTURES / fixture)
+    text_code = main([command, path])
+    text = capsys.readouterr()
+    json_code = main([command, path, "--format", "json"])
+    report = capsys.readouterr()
+    assert text_code == json_code, report.err
+    if report.out:
+        json.loads(report.out)
+    else:
+        assert report.err.startswith("error:") and report.err == text.err
+
+
+@pytest.mark.parametrize("fixture", ["borderline_stable.json", "borderline_unstable.json"])
+def test_slope_of_a_zero_solution_is_null_in_json(capsys, fixture):
+    # Unforced: the periodic solution is 0, every error is 0 and the slope
+    # is NaN, which the JSON report writes as null.
+    path = str(FIXTURES / fixture)
+    assert main(["slope", path]) == 0
+    assert "slope: nan" in capsys.readouterr().out
+    assert main(["slope", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["slope"] is None
+    assert doc["errors"] == [0.0] * 4
+
+
+@pytest.mark.parametrize("order", ["13", "120"])
+def test_validate_holds_recursion_defects_to_the_size_of_the_levels(capsys, order):
+    # The levels grow geometrically: at order 13 the largest solvability
+    # defect is 1.6e-8 in absolute terms, 1e-15 of its level.
+    path = str(FIXTURES / "random_n3_m1.json")
+    assert main(["validate", path, "--order", order]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def _perturb_defect(kd, lev, nxt):
+    a1 = np.linalg.norm(kd.averaged, 2)
+    size = max(a1 * np.linalg.norm(lev.kernel_coeff), np.linalg.norm(nxt.forcing),
+               np.linalg.norm(nxt.mean))
+    return dataclasses.replace(lev, solvability_defect=1e-6 * size)
+
+
+def _perturb_mean(kd, lev, nxt):
+    mean = lev.mean + 1e-6 * np.linalg.norm(lev.mean) * kd.kernel[:, 0]
+    return dataclasses.replace(lev, mean=mean)
+
+
+@pytest.mark.parametrize("perturb, check", [
+    (_perturb_defect, "expansion_solvability_defect"),
+    (_perturb_mean, "expansion_mean_orthogonality"),
+])
+def test_validate_fails_a_level_perturbed_by_a_millionth_of_its_size(
+    capsys, monkeypatch, perturb, check
+):
+    import hfosc.cli as cli
+
+    real = cli.expand
+
+    def perturbed(spec, order, kernel_data):
+        exp = real(spec, order, kernel_data=kernel_data)
+        levels = list(exp.levels)
+        levels[-2] = perturb(kernel_data, levels[-2], levels[-1])
+        return dataclasses.replace(exp, levels=levels)
+
+    monkeypatch.setattr(cli, "expand", perturbed)
+    path = str(FIXTURES / "random_n3_m1.json")
+    assert main(["validate", path, "--order", "13"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL {check}" in out and out.count("  FAIL ") == 1

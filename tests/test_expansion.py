@@ -26,7 +26,7 @@ def test_forced_borderline_hand_values():
     assert exp.leading_defect < 1e-14
     for lev in exp.levels:
         assert lev.solvability_defect < 1e-12
-        assert lev.osc.support() == ()  # no oscillating coefficients at all
+        assert not lev.osc.coeffs  # no oscillating coefficients at all
 
 
 def test_constant_coefficient_case_matches_neumann_recursion():
@@ -90,10 +90,10 @@ def test_structural_invariants():
             assert np.allclose(kd.kernel.conj().T @ lev.mean, 0.0, atol=1e-11)
             # Oscillating parts have zero mean and bounded harmonic range.
             assert np.array_equal(lev.osc.mean(), np.zeros(spec.n))
-            if lev.osc.support():
-                assert max(abs(l) for l in lev.osc.support()) <= (k + 1) * spec.m
+            if lev.osc.coeffs:
+                assert max(abs(l) for l in lev.osc.coeffs) <= (k + 1) * spec.m
             # osc = (payload generated by v_{k-1}) + harmonics.
-            support = set(lev.osc.support()) | set(lev.harmonics.support())
+            support = set(lev.osc.coeffs) | set(lev.harmonics.coeffs)
             for l in support:
                 payload = np.zeros(spec.n, dtype=complex)
                 Bl = spec.B.get(l)
@@ -126,7 +126,7 @@ def test_real_systems_have_real_partial_sums():
     S = partial_sum(exp, 3, 120.0, t)
     assert float(np.max(np.abs(S.imag))) < 1e-9 * float(np.max(np.abs(S)))
     for lev in exp.levels:
-        for l in lev.osc.support():
+        for l in lev.osc.coeffs:
             assert np.allclose(
                 lev.osc.coeffs[l], np.conj(lev.osc.coeffs[-l]), atol=1e-12
             )
@@ -160,7 +160,7 @@ def test_unforced_system_expands_to_zero():
     assert np.array_equal(exp.leading, np.zeros(exp.leading.shape))
     for lev in exp.levels:
         assert np.allclose(lev.mean, 0.0, atol=0.0)
-        assert lev.osc.support() == ()
+        assert not lev.osc.coeffs
     S = partial_sum(exp, 3, 100.0, np.linspace(0.0, 1.0, 5))
     assert np.array_equal(S, np.zeros_like(S))
 
