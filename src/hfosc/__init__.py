@@ -40,7 +40,6 @@ from .oracle import (
     SlopeReport,
     error_slope,
     floquet_verdict,
-    integrate,
     monodromy,
     periodic_solution,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "floquet_verdict",
     "formal_average",
     "hurwitz_series",
-    "integrate",
     "monodromy",
     "normalize",
     "ode_residual",

@@ -30,7 +30,7 @@ from .errors import (
 from .expansion import expand, partial_sum, safe_norm
 from .model import load_problem, to_pairs
 from .oracle import INTEGRATOR_TOL, UNIQUENESS_TOL
-from .oracle import error_slope, floquet_verdict, periodic_solution
+from .oracle import error_slope, floquet_verdict, period, periodic_solution
 from .spectral import RANK_TOL, averaged_matrix, compute_kernel_data
 
 EXIT_OK = 0
@@ -139,8 +139,7 @@ def _cmd_expand(spec, args):
 
 def _cmd_evaluate(spec, args):
     exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
-    T = 2 * np.pi / args.omega
-    t = np.linspace(0.0, T, args.samples + 1)
+    t = np.linspace(0.0, period(args.omega), args.samples + 1)
     x = partial_sum(exp, args.order, args.omega, t)
     doc = {
         "omega": args.omega,

@@ -86,6 +86,7 @@ class AsymptoticExpansion:
 
     order: int
     m: int
+    real_mode: bool
     leading: np.ndarray  # C_{-1}
     leading_defect: float
     levels: list
@@ -153,6 +154,7 @@ def expand(
     return AsymptoticExpansion(
         order=order,
         m=spec.m,
+        real_mode=spec.real_mode,
         leading=leading,
         leading_defect=lead_defect,
         levels=levels,
@@ -164,8 +166,9 @@ def partial_sum(exp: AsymptoticExpansion, r: int, omega, t) -> np.ndarray:
     """Evaluate the order-r partial sum at time(s) t.
 
     The last axis of the result is the state dimension; leading axes follow
-    the shape of t.  Raises NonFiniteError when the sum overflows, as it
-    does for omega near the ends of the floating-point range.
+    the shape of t.  A real system's sum is real: its float64 real part.
+    Raises NonFiniteError when the sum overflows, as it does for omega near
+    the ends of the floating-point range.
     """
     if not 0 <= r <= exp.order:
         raise ValueError(f"r must be in [0, {exp.order}], got {r}")
@@ -179,7 +182,7 @@ def partial_sum(exp: AsymptoticExpansion, r: int, omega, t) -> np.ndarray:
             const = lev.mean + kernel @ lev.kernel_coeff
             out += omega ** (-k) * (const + lev.osc(tau))
     check_finite(f"the order-{r} partial sum at omega={float(omega):g}", out)
-    return out
+    return out.real.copy() if exp.real_mode else out
 
 
 def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> float:

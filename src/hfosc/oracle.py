@@ -7,18 +7,17 @@ equation (I - Phi) x0 = v with the forced response v, and stability is
 read off the characteristic multipliers.  The expansion modules are then
 validated against these results, never the other way around.
 
-One right side serves every integration.  The package's own DOP853
-(``hfosc.dop853``, numpy only) advances an n x k state block Y at time t by
-(M(omega t) + B0/omega) Y with the forcing f(omega t) added to the last
-column.  It takes the ``Sampler`` that ``ProblemSpec.field_map(omega,
-omega)`` returns, with B0/omega folded in once per frequency: the field
-grid on the stage times of each attempted step, and ``Sampler.apply`` for
-every other right side.  A real system is integrated in float64
-throughout.  With k = 1 the block is one trajectory, the solution through a
-given state.  With k = n + 1 it is the fundamental system beside the forced
-response from zero, the block [I | 0] that ends at [Phi | v].  One such
-pass per frequency serves everything: the period map, x0, and the periodic
-solution, read from the block's dense output contracted with z = [x0; 1].
+One integration serves everything.  The package's own DOP853
+(``hfosc.dop853``, numpy only) runs the n x (n + 1) block Y from [I | 0] at
+t = 0 forward to T = 2 pi / omega, advancing it by (M(omega t) + B0/omega) Y
+with the forcing f(omega t) added to the last column: the fundamental
+system beside the forced response from zero, ending at [Phi | v].  It takes
+the ``Sampler`` that ``ProblemSpec.field_map(omega, omega)`` returns, with
+B0/omega folded in once per frequency: the field grid on the stage times of
+each attempted step, and ``Sampler.apply`` for every other right side.  A
+real system is integrated in float64 throughout.  That one pass per
+frequency gives the period map, x0, and the periodic solution, read from
+the block's dense output contracted with z = [x0; 1].
 Runge-Kutta steps are linear in the state, so that is the trajectory from
 x0 on the block's own steps.  The same map's ``apply`` gives the right side
 at states on arrays of times, which is how the integral-form defect of the
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryUndecidable, NonUniqueError
+from .errors import BoundaryUndecidable, NonFiniteError, NonUniqueError
 from .model import ProblemSpec
 
 # Integrator accuracy per step, relative and absolute.
@@ -54,46 +53,32 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 _DEFECT_BLOCK = 64
 
 
-def _check_omega(omega) -> None:
+def period(omega) -> float:
+    """T = 2 pi / omega.  Raises ValueError unless omega is positive and
+    finite, and NonFiniteError when T overflows (omega below about 1e-308)."""
     if not (np.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
-
-
-def _solve(field, omega, y0, t0, t1, dense=False):
-    # Imported here: commands that never integrate skip the integrator's
-    # module and its tableau.
-    from .dop853 import solve
-
-    return solve(
-        field,
-        y0,
-        t0,
-        t1,
-        tol=INTEGRATOR_TOL,
-        max_step=(2 * np.pi / omega) / 16,
-        dense=dense,
-    )
-
-
-def integrate(spec: ProblemSpec, omega, x0, t0, t1):
-    """State at t1 of the solution through (t0, x0).  Raises ValueError for
-    a non-finite t0 or t1 and for an x0 whose first axis is not n."""
-    _check_omega(omega)
-    return _solve(spec.field_map(omega, omega), omega, x0, t0, t1).y
+    T = 2 * np.pi / float(omega)
+    if T == np.inf:
+        raise NonFiniteError(f"the period 2 pi / omega at omega={omega:g} is not finite")
+    return T
 
 
 def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
     """Period map Phi(T), T = 2 pi / omega, from the matrix equation."""
-    _check_omega(omega)
-    return _period_pass(spec.field_map(omega, omega), omega).y[:, : spec.n]
+    T = period(omega)
+    return _period_pass(spec.field_map(omega, omega), T).y[:, : spec.n]
 
 
-def _period_pass(field, omega, dense=False):
-    """One pass over a period from the block [I | 0], whose last column alone
-    picks up the forcing: it ends at [Phi | v], the period map beside the
-    forced response from zero."""
-    n = field.shape[0]
-    return _solve(field, omega, np.eye(n, n + 1), 0.0, 2 * np.pi / omega, dense=dense)
+def _period_pass(field, T, dense=False):
+    """One pass over the period T from the block [I | 0], whose last column
+    alone picks up the forcing: it ends at [Phi | v], the period map beside
+    the forced response from zero."""
+    # Imported here: commands that never integrate skip the integrator's
+    # module and its tableau.
+    from .dop853 import solve
+
+    return solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=dense)
 
 
 def _multipliers(Phi) -> np.ndarray:
@@ -129,12 +114,12 @@ class PeriodicOracleSolution:
     unique_margin: float
 
 
-def _fixed_point(field, omega):
+def _fixed_point(field, T):
     """Phi, x0, sigma_min(I - Phi) and the interpolant of the periodic
     solution, all from one period pass with ``field``.  The pass's step
     record is dropped on return, before the caller's defect quadrature."""
     n = field.shape[0]
-    traj = _period_pass(field, omega, dense=True)
+    traj = _period_pass(field, T, dense=True)
     Phi, forced = traj.y[:, :n], traj.y[:, n]
     gap = np.eye(n) - Phi
     unique_margin = float(np.linalg.svd(gap, compute_uv=False)[-1])
@@ -155,12 +140,11 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
     NonUniqueError when the period map has 1 as an eigenvalue to working
     precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
     """
-    _check_omega(omega)
+    T = period(omega)
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    T = 2 * np.pi / omega
     field = spec.field_map(omega, omega)
-    Phi, x0, unique_margin, sol = _fixed_point(field, omega)
+    Phi, x0, unique_margin, sol = _fixed_point(field, T)
     t = np.linspace(0.0, T, n_samples + 1)
     x = sol(t)
     x[0] = x0
@@ -268,7 +252,7 @@ def error_slope(
     if len(set(omegas)) < len(omegas):
         raise ValueError(f"omega values must be distinct, got {omegas}")
     for w in omegas:
-        _check_omega(w)
+        period(w)
     errors = []
     scale = 1.0
     for w in omegas:

@@ -337,13 +337,17 @@ def test_module_entry_point_runs():
         ["evaluate", "--omega", "-100"],
         ["evaluate", "--omega", "nan"],
         ["analyze", "--rank-tol", "0"],
+        # A period of 6e300 at steps bounded by stability: the step cap ends it.
+        ["stability", "--omega", "1e-300", "scalar_decay.json"],
     ],
     ids=" ".join,
 )
 def test_out_of_range_arguments_exit_one(argv):
-    # A fresh process with a timeout: some of these used to hang.
-    path = str(FIXTURES / "random_n3_m1.json")
-    proc = _run_module(argv[0], path, *argv[1:], timeout=60)
+    # A fresh process with a timeout: some of these used to hang.  A case
+    # that names a fixture runs on it instead of random_n3_m1.
+    fixture = argv[-1] if argv[-1].endswith(".json") else "random_n3_m1.json"
+    args = [a for a in argv if a != fixture]
+    proc = _run_module(args[0], str(FIXTURES / fixture), *args[1:], timeout=60)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -393,20 +397,19 @@ def test_stalled_integration_exits_one_without_warnings(tmp_path, rate):
 def test_closed_stdout_ends_quietly():
     path = str(FIXTURES / "random_n3_m1.json")
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "hfosc.cli", "evaluate", path, "--samples", "20000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-    )
-    try:
-        # Far more than a pipe holds stays unread once the reader is gone.
-        assert proc.stdout.readline().startswith("partial sum of order 2")
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
-    finally:
-        proc.kill()
-        proc.wait()
+    ) as proc:
+        try:
+            # Far more than a pipe holds stays unread once the reader is gone.
+            assert proc.stdout.readline().startswith("partial sum of order 2")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
     assert "Traceback" not in stderr and "BrokenPipe" not in stderr
 
 
@@ -477,10 +480,17 @@ def _scaled_document(tmp_path, factor):
     ("stability", "{1e150}"),
     ("validate", "{1e150}"),
     ("analyze", "{1e300}"),
+    # 2 pi / omega overflows.
+    ("stability", "{fixture}", "--omega", "1e-310"),
+    ("validate", "{fixture}", "--omega", "1e-310"),
+    ("slope", "{fixture}", "--omegas", "1e-310,1"),
+    ("evaluate", "{fixture}", "--omega", "1e-310"),
+    ("stability", "{scalar_decay}", "--omega", "1e-320"),
 ])
 def test_overflow_exits_one_with_an_error(tmp_path, argv):
     paths = {
         "{fixture}": str(FIXTURES / "random_n3_m1.json"),
+        "{scalar_decay}": str(FIXTURES / "scalar_decay.json"),
         "{1e150}": _scaled_document(tmp_path, 1e150),
         "{1e300}": _scaled_document(tmp_path, 1e300),
     }

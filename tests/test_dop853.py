@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from hfosc import dop853, fixtures
 from hfosc.errors import StepFailure
 from hfosc.model import Sampler, TrigPoly
-from hfosc.oracle import INTEGRATOR_TOL, integrate, monodromy, periodic_solution
+from hfosc.oracle import INTEGRATOR_TOL, monodromy, periodic_solution
 
 
 def _constant(F):
@@ -106,10 +106,7 @@ def test_steps_follow_scipy_step_sequence():
     spec = fixtures.random_admissible(seed=1, n=6, m=2)
     omega = 80.0
     T = 2 * np.pi / omega
-    traj = dop853.solve(
-        spec.field_map(omega, omega), np.eye(6, 7), 0.0, T,
-        tol=INTEGRATOR_TOL, max_step=T / 16,
-    )
+    traj = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16)
     ref = _reference(spec, omega, np.eye(6, 7), T)
     assert traj.t.shape == ref.t.shape
     assert np.allclose(traj.t, ref.t, rtol=1e-8, atol=0)
@@ -121,10 +118,8 @@ def test_one_field_call_per_attempted_step():
     omega = 50.0
     T = 2 * np.pi / omega
     field = _Counting(**vars(spec.field_map(omega, omega)))
-    traj = dop853.solve(
-        field, np.ones(4), 0.0, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=True,
-    )
-    # The right side at t0 and at the trial point of the first step, then
+    traj = dop853.solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=True)
+    # The right side at t = 0 and at the trial point of the first step, then
     # one field grid per attempted step on its 12 stage times, and nothing
     # more: the run forms no grid for its dense output.
     log = field.log
@@ -133,67 +128,39 @@ def test_one_field_call_per_attempted_step():
     assert set(log[2:]) == {("field", (dop853.STAGES,))}
     # The three extra stages of every step, one right side each.
     del log[:]
-    traj.dense.along([1.0])
+    traj.dense.along(np.append(np.ones(4), 1.0))
     assert log == [("apply", (len(traj.t) - 1,))] * 3
-
-
-def test_integrate_there_and_back_returns_the_start():
-    spec = fixtures.random_admissible(seed=2, n=5, m=2)
-    omega = 60.0
-    x0 = np.linspace(-1.0, 1.0, 5) + 0.5j
-    x1 = integrate(spec, omega, x0, 0.1, 0.35)
-    back = integrate(spec, omega, x1, 0.35, 0.1)
-    assert np.allclose(back, x0, rtol=0, atol=1e-10)
-    ref = solve_ivp(
-        _rhs(spec, omega), (0.35, 0.1), x1, method="DOP853", rtol=INTEGRATOR_TOL,
-        atol=INTEGRATOR_TOL, max_step=(2 * np.pi / omega) / 16,
-    )
-    assert _rel(back, ref.y[:, -1]) < 1e-11
 
 
 def test_non_finite_field_stalls_with_step_failure():
     # NaN from t = 0.5 on: every step across it is rejected down to the floor.
     field = _NanFrom(**vars(_constant([[-1.0, 0.0]])), start=0.5)
     with pytest.raises(StepFailure, match="integration stalled at t=0.5") as info:
-        dop853.solve(field, [1.0], 0.0, 1.0, tol=1e-12, max_step=0.1)
+        dop853.solve(field, 1.0, tol=1e-12, max_step=0.1)
     assert "non-finite" in str(info.value)
     assert 0.49 < info.value.t < 0.5
 
 
+def test_a_run_stops_after_max_steps(monkeypatch):
+    # One step short of the steps the run needs: it stops where they end.
+    field = _constant([[-1.0, 1.0]])
+    t = dop853.solve(field, 1.0, tol=1e-12, max_step=0.1).t
+    monkeypatch.setattr(dop853, "MAX_STEPS", len(t) - 2)
+    with pytest.raises(StepFailure, match=f"{len(t) - 2} steps fell short of t=1") as info:
+        dop853.solve(field, 1.0, tol=1e-12, max_step=0.1)
+    assert info.value.t == t[-2]
+
+
 def test_block_contracted_with_z_is_the_trajectory_from_its_start():
-    # The dense output of [I | 0] along [x0; 1] and a vector run from x0.
+    # The dense output of [I | 0] along [x0; 1] against scipy's run from x0.
     spec = fixtures.random_admissible(seed=5, n=4, m=2)
     omega = 60.0
     T = 2 * np.pi / omega
-    field = spec.field_map(omega, omega)
     x0 = np.linspace(-1.0, 1.0, 4)
-    block = dop853.solve(field, np.eye(4, 5), 0.0, T, tol=INTEGRATOR_TOL,
+    block = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL,
                          max_step=T / 16, dense=True)
-    vector = dop853.solve(field, x0, 0.0, T, tol=INTEGRATOR_TOL,
-                          max_step=T / 16, dense=True)
     t = np.linspace(0.0, T, 50)
     along = block.dense.along(np.append(x0, 1.0))
     assert along(t).dtype == np.float64
-    assert np.allclose(along(t), vector.dense.along([1.0])(t), rtol=0, atol=1e-11)
+    assert _rel(along(t), _reference(spec, omega, x0, T, dense=True).sol(t).T) < 1e-11
     assert np.allclose(along(T), block.y @ np.append(x0, 1.0), rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (np.inf, 1.0), (0.0, -np.inf)])
-def test_solve_needs_finite_times(t0, t1):
-    with pytest.raises(ValueError, match="finite"):
-        dop853.solve(_constant([[0.0, 0.0]]), [1.0], t0, t1, tol=1e-12, max_step=0.1)
-
-
-def test_dense_output_needs_a_forward_run():
-    field = _constant([[-1.0, -1.0]])
-    with pytest.raises(ValueError, match="forward"):
-        dop853.solve(field, [1.0], 1.0, 0.0, tol=1e-12, max_step=0.1, dense=True)
-    back = dop853.solve(field, [1.0], 1.0, 0.0, tol=1e-12, max_step=0.1)
-    assert back.dense is None and back.y[0] == pytest.approx(2 * np.e - 1, rel=1e-10)
-
-
-def test_solve_needs_a_state_of_the_field_dimension():
-    field = _constant(np.zeros((2, 3)))
-    for y0 in ([1.0], np.ones((3, 2)), 1.0):
-        with pytest.raises(ValueError, match="n = 2"):
-            dop853.solve(field, y0, 0.0, 1.0, tol=1e-12, max_step=0.1)

@@ -7,13 +7,13 @@ import pytest
 from scipy.linalg import expm
 
 from hfosc import dop853, fixtures
-from hfosc.errors import BoundaryUndecidable, NonUniqueError
+from hfosc.errors import BoundaryUndecidable, NonFiniteError, NonUniqueError
 from hfosc.expansion import expand
 from hfosc.model import ProblemSpec
 from hfosc.oracle import (
+    INTEGRATOR_TOL,
     error_slope,
     floquet_verdict,
-    integrate,
     monodromy,
     periodic_solution,
 )
@@ -113,16 +113,20 @@ def test_autonomous_monodromy_is_matrix_exponential():
 
 
 def test_integrate_matches_variation_of_constants():
+    # Constant M and d0: the pass ends at [e^{MT} | M^-1 (e^{MT} - I) d0],
+    # and the periodic solution is the equilibrium -M^-1 d0.
     spec = fixtures.forced_borderline()
     omega = 25.0
-    M = (spec.A0 + spec.B0 / omega).astype(complex)
-    x0 = np.array([0.3, -0.2, 0.5], dtype=complex)
-    t1 = 0.4
-    got = integrate(spec, omega, x0, 0.0, t1)
-    E = expm(M * t1)
-    want = E @ x0 + np.linalg.solve(M, (E - np.eye(3)) @ spec.d0)
-    assert np.allclose(got, want, atol=1e-9)
-    assert np.array_equal(integrate(spec, omega, x0, 0.7, 0.7), x0)
+    T = 2 * np.pi / omega
+    M = spec.A0 + spec.B0 / omega
+    E = expm(M * T)
+    got = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16).y
+    assert np.max(np.abs(got[:, :3] - E)) < 1e-14
+    forced = np.linalg.solve(M, (E - np.eye(3)) @ spec.d0)
+    assert np.max(np.abs(got[:, 3] - forced)) < 1e-14 * np.max(np.abs(forced))
+    ps = periodic_solution(spec, omega)
+    equilibrium = -np.linalg.solve(M, spec.d0)
+    assert np.max(np.abs(ps.x - equilibrium)) < 1e-12 * np.max(np.abs(equilibrium))
 
 
 def test_unit_multiplier_raises_nonunique():
@@ -155,11 +159,6 @@ def test_periodic_solution_invariants():
     assert np.allclose(
         np.sort(ps.multipliers), np.sort(np.linalg.eigvals(ps.monodromy)), atol=1e-12
     )
-    # Independent spot check: integrating from x0 over a third of the period
-    # lands on the interpolated samples.
-    k = 42
-    got = integrate(spec, omega, ps.x0, 0.0, float(ps.t[k]))
-    assert np.allclose(got, ps.x[k], atol=1e-8 * max(1.0, scale))
 
 
 def test_real_systems_give_conjugate_multipliers():
@@ -193,7 +192,7 @@ def test_periodic_solution_integrates_once(monkeypatch):
     solve = dop853.solve
 
     def counted(*args, **kwargs):
-        calls.append(np.shape(args[1]))
+        calls.append(args[0].shape)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(dop853, "solve", counted)
@@ -294,7 +293,6 @@ def test_error_slope_needs_two_frequencies():
 def test_integrators_need_a_positive_finite_frequency(omega):
     spec = fixtures.random_admissible(seed=1, n=3, m=1)
     for call in (
-        lambda: integrate(spec, omega, np.zeros(3), 0.0, 1.0),
         lambda: monodromy(spec, omega),
         lambda: periodic_solution(spec, omega),
         lambda: floquet_verdict(spec, omega),
@@ -303,16 +301,16 @@ def test_integrators_need_a_positive_finite_frequency(omega):
             call()
 
 
-@pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.inf, 0.5), (0.0, -math.inf)])
-def test_integrate_needs_finite_times(t0, t1):
+def test_a_period_past_the_float_range_raises_non_finite(monkeypatch):
+    # 2 pi / omega overflows: no field is formed, nothing is integrated.
     spec = fixtures.random_admissible(seed=1, n=3, m=1)
-    with pytest.raises(ValueError, match="finite"):
-        integrate(spec, 50.0, np.ones(3), t0, t1)
-
-
-@pytest.mark.parametrize("x0", [np.ones(4), np.ones((2, 3)), np.float64(1.0)])
-def test_integrate_needs_a_state_of_dimension_n(x0):
-    spec = fixtures.random_admissible(seed=1, n=3, m=1)
-    for t1 in (0.1, 0.0):
-        with pytest.raises(ValueError, match="n = 3"):
-            integrate(spec, 50.0, x0, 0.0, t1)
+    exp = expand(spec, order=1)
+    monkeypatch.setattr(ProblemSpec, "field_map", lambda *args: pytest.fail("field formed"))
+    for call in (
+        lambda: monodromy(spec, 1e-310),
+        lambda: periodic_solution(spec, 1e-310),
+        lambda: floquet_verdict(spec, 1e-310),
+        lambda: error_slope(spec, exp, 1, (1e-310, 1.0)),
+    ):
+        with pytest.raises(NonFiniteError, match="period"):
+            call()
