@@ -42,6 +42,22 @@ EXIT_NONUNIQUE = 3
 DEFECT_TOL = 1e-8
 
 
+def solvability_defect(exp) -> float:
+    """The worst solvability defect of an expansion, as ``validate`` checks
+    it against ``DEFECT_TOL``.
+
+    The levels grow geometrically, so each defect is measured against
+    max(1, the size of its data).  Sweep e closes 0 = A0 x_e + A1 v_{e-1}
+    + theta_e for C_{e-1}; the last sweep's theta and x are not kept."""
+    a1 = float(np.linalg.norm(exp.kernel_data.averaged, 2))
+    coeffs = [exp.leading] + [lev.kernel_coeff for lev in exp.levels]
+    defects = [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels]
+    sizes = [max(safe_norm(lev.forcing), safe_norm(lev.mean)) for lev in exp.levels] + [0.0]
+    return float(
+        max(d / max(1.0, a1 * safe_norm(c), size) for d, c, size in zip(defects, coeffs, sizes))
+    )
+
+
 def _fmt_c(z) -> str:
     z = complex(z)
     if z.imag == 0:
@@ -241,17 +257,7 @@ def _cmd_validate(spec, args):
     below("partial_inverse_orthogonality", worst_perp, DEFECT_TOL)
 
     exp = expand(spec, args.order, kernel_data=kd)
-    # The levels grow geometrically, so each defect is measured against
-    # max(1, the size of its data).  Sweep e closes 0 = A0 x_e + A1 v_{e-1}
-    # + theta_e for C_{e-1}; the last sweep's theta and x are not kept.
-    a1 = float(np.linalg.norm(kd.averaged, 2))
-    coeffs = [exp.leading] + [lev.kernel_coeff for lev in exp.levels]
-    defects = [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels]
-    sizes = [max(safe_norm(lev.forcing), safe_norm(lev.mean)) for lev in exp.levels] + [0.0]
-    defect = max(
-        d / max(1.0, a1 * safe_norm(c), size) for d, c, size in zip(defects, coeffs, sizes)
-    )
-    below("expansion_solvability_defect", float(defect), DEFECT_TOL)
+    below("expansion_solvability_defect", solvability_defect(exp), DEFECT_TOL)
     ortho = max(
         np.max(np.abs(kd.kernel.conj().T @ lev.mean)) / max(1.0, safe_norm(lev.mean))
         for lev in exp.levels

@@ -102,7 +102,11 @@ def expand(
     order: int,
     kernel_data: KernelData | None = None,
 ) -> AsymptoticExpansion:
-    """Run the recursion through order + 1 sweeps and return levels 0..order."""
+    """Run the recursion through order + 1 sweeps and return levels 0..order.
+
+    theta_p's mean(B_osc beta_p) is ``B_osc.mean_of_product(beta_p)``: the
+    sum of B_l beta_{p,-l} over the harmonics |l| <= m alone, without the
+    product's other harmonics, which nothing reads."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
@@ -135,7 +139,7 @@ def expand(
             mass = float(np.sum(safe_norm(beta.data)))
             check_finite(f"order {p} of the expansion", g.data, mass)
             beta_p = (g - g.mean()).antiderivative()
-            theta_p = spec.B0 @ x + (B_osc @ beta_p).mean()
+            theta_p = spec.B0 @ x + B_osc.mean_of_product(beta_p)
             coeff, v, x_p, defect = close_level(theta_p)
             levels.append(
                 ExpansionLevel(

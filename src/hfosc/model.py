@@ -66,9 +66,24 @@ def _checked_harmonics(coeffs, shape, name, low, m):
     return out
 
 
-def _matmul(a, b, vector: bool):
-    """Matrix product of coefficient stacks; ``vector`` when b holds vectors."""
-    return np.matmul(a, b[..., None])[..., 0] if vector else np.matmul(a, b)
+def _product_shape(a: tuple, b: tuple) -> tuple:
+    """Value shape of a @ b by numpy's matmul rule, for vector and matrix
+    values: a vector is a row on the left and a column on the right."""
+    if not (0 < len(a) < 3 and 0 < len(b) < 3 and len(a) + len(b) > 2) or a[-1] != b[0]:
+        raise ValueError(f"cannot multiply values of shapes {a} and {b}")
+    return a[:-1] + b[1:]
+
+
+def _times(stack, c):
+    """Every coefficient of a stack times the constant c on the right: one
+    GEMM of the stack's rows."""
+    return (stack.reshape(-1, len(c)) @ c).reshape(stack.shape[:-1] + c.shape[1:])
+
+
+def _times_left(c, stack):
+    """The constant c times every coefficient of a stack on the left: one
+    GEMM for a stack of vectors, batched for matrices."""
+    return stack @ c.T if stack.ndim == 2 else c @ stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +134,6 @@ class TrigPoly:
         return {i - H: c for i, c in enumerate(self.data) if np.any(c)}
 
     @cached_property
-    def _rates(self) -> np.ndarray:
-        """i l for each row, the factors of the derivative."""
-        return 1j * np.arange(-self.H, self.H + 1)
-
-    @cached_property
     def _cos_form(self) -> tuple:
         """p(tau) = cos(k tau - s) @ a, a cos/sin basis as one cosine:
         harmonics k = 0, 1..H, 1..H, shifts s = 0 then pi/2 for the sines,
@@ -168,13 +178,14 @@ class TrigPoly:
         return factors.reshape((-1,) + (1,) * len(self.shape))
 
     def derivative(self) -> "TrigPoly":
-        return TrigPoly(self._column(self._rates) * self.data)
+        rates = 1j * np.arange(-self.H, self.H + 1)
+        return TrigPoly(self._column(rates) * self.data)
 
     def antiderivative(self) -> "TrigPoly":
         """Zero-mean antiderivative; defined only for zero-mean polynomials."""
         if np.any(self.mean()):
             raise ValueError("antiderivative needs a zero-mean polynomial")
-        rates = self._rates.copy()
+        rates = 1j * np.arange(-self.H, self.H + 1)
         rates[self.H] = 1.0
         return TrigPoly(self.data / self._column(rates))
 
@@ -186,7 +197,9 @@ class TrigPoly:
 
     def __add__(self, other) -> "TrigPoly":
         if not isinstance(other, TrigPoly):
-            other = TrigPoly.constant(other)
+            out = self.data.copy()
+            out[self.H] += other
+            return TrigPoly(out)
         H = max(self.H, other.H)
         out = self.padded(H)
         out[H - other.H : H + other.H + 1] += other.data
@@ -201,22 +214,41 @@ class TrigPoly:
     __rmul__ = __mul__
 
     def __matmul__(self, other) -> "TrigPoly":
-        """Pointwise matrix product; harmonic indices convolve."""
+        """Pointwise matrix product; harmonic indices convolve.  A constant
+        (an array) multiplies every coefficient in one product."""
         if not isinstance(other, TrigPoly):
-            other = TrigPoly.constant(other)
+            other = np.asarray(other)
+            _product_shape(self.shape, other.shape)
+            return TrigPoly(_times(self.data, other))
         a, b = self.data, other.data
-        vector = len(other.shape) == 1
-        out = np.zeros((len(a) + len(b) - 1,) + other.shape, dtype=complex)
+        shape = _product_shape(self.shape, other.shape)
+        out = np.zeros((len(a) + len(b) - 1,) + shape, dtype=complex)
+        # One product per harmonic of the shorter operand, over all
+        # harmonics of the longer one.
         if len(a) <= len(b):
             for i, c in enumerate(a):
-                out[i : i + len(b)] += _matmul(c, b, vector)
+                out[i : i + len(b)] += _times_left(c, b)
         else:
             for j, c in enumerate(b):
-                out[j : j + len(a)] += _matmul(a, c, vector)
+                out[j : j + len(a)] += _times(a, c)
         return TrigPoly(out)
 
     def __rmatmul__(self, other) -> "TrigPoly":
-        return TrigPoly.constant(other) @ self
+        other = np.asarray(other)
+        _product_shape(other.shape, self.shape)
+        return TrigPoly(_times_left(other, self.data))
+
+    def mean_of_product(self, other: "TrigPoly") -> np.ndarray:
+        """(self @ other).mean(), the sum of c_l @ d_{-l}, from the matching
+        harmonics alone: one product of the harmonics side by side with
+        their partners stacked."""
+        shape = _product_shape(self.shape, other.shape)
+        K = min(self.H, other.H)
+        a = self.data[self.H - K : self.H + K + 1]
+        b = other.data[other.H - K : other.H + K + 1][::-1]
+        rows = self.shape[0] if len(self.shape) == 2 else 1
+        side = np.swapaxes(a.reshape(2 * K + 1, rows, -1), 0, 1).reshape(rows, -1)
+        return (side @ b.reshape(side.shape[1], -1)).reshape(shape)
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
@@ -247,9 +279,16 @@ class Sampler:
         arg -= self.shifts
         return np.cos(arg, out=arg)
 
+    def __post_init__(self):
+        # Contiguous, so that complex coefficients have a float view.
+        object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs))
+
     def __call__(self, t) -> np.ndarray:
+        """The sum at times t.  Complex coefficients are multiplied in real
+        arithmetic, as the float view of their real and imaginary parts."""
         t = np.asarray(t, dtype=float)
-        return (self.basis(t) @ self.coeffs).reshape(t.shape + self.shape)
+        out = (self.basis(t) @ self.coeffs.view(float)).view(self.coeffs.dtype)
+        return out.reshape(t.shape + self.shape)
 
     def apply(self, t, Y) -> np.ndarray:
         """The right side at n x k blocks Y of shape (*shape(t), n, k), for a

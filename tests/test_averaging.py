@@ -120,6 +120,23 @@ def test_transform_first_terms_match_hand_formulas():
             assert np.allclose(Uk.mean(), 0.0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_averaging_routes_agree_at_first_order(data):
+    # The transform's A1 comes out of TrigPoly products; the kernel-geometry
+    # route sums B_{-l} B_l / (i l) directly.
+    n = data.draw(st.integers(1, 8), label="n")
+    spec = fixtures.random_admissible(
+        data.draw(st.integers(0, 10**6), label="seed"),
+        n=n,
+        m=data.draw(st.integers(0, 4), label="m"),
+        s=data.draw(st.integers(1, min(3, n)), label="s"),
+    )
+    want = averaged_matrix(spec)
+    got = formal_average(spec, 1).coeff(1)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_transform_requires_positive_truncation():
     with pytest.raises(ValueError):
         kb_transform(fixtures.borderline_stable(), trunc=0)

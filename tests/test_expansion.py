@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfosc import fixtures
+from hfosc.cli import DEFECT_TOL, solvability_defect
 from hfosc.errors import NonFiniteError
 from hfosc.expansion import expand, ode_residual, partial_sum, safe_norm
 from hfosc.model import ProblemSpec, load_problem
@@ -78,6 +81,21 @@ def test_mean_equation_holds_at_every_level():
             resid = spec.A0 @ lev.mean + A1 @ vs[k] + lev.forcing
             scale = max(1.0, float(np.linalg.norm(lev.forcing)))
             assert np.linalg.norm(resid) < 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_level_closes_its_solvability_condition(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    spec = fixtures.random_admissible(
+        data.draw(st.integers(0, 10**6), label="seed"),
+        n=n,
+        m=data.draw(st.integers(0, 4), label="m"),
+        s=data.draw(st.integers(1, min(3, n)), label="s"),
+    )
+    exp = expand(spec, 8)
+    assert len(exp.levels) == 9
+    assert solvability_defect(exp) < DEFECT_TOL
 
 
 def test_structural_invariants():

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfosc import fixtures
 from hfosc.errors import ConjugacyError, SchemaError
 from hfosc.model import (
     ProblemSpec,
+    Sampler,
     TrigPoly,
     parse_problem,
     serialize_problem,
@@ -244,10 +247,15 @@ def test_spec_arrays_are_read_only():
 # -- trig polynomials -------------------------------------------------------
 
 
-def _random_vec_poly(rng, n=3, harmonics=(-2, -1, 1, 3)):
+def _random_poly(rng, shape, harmonics=(-2, 0, 1)):
     return TrigPoly.from_coeffs(
-        {l: rng.standard_normal(n) + 1j * rng.standard_normal(n) for l in harmonics}, (n,)
+        {l: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for l in harmonics},
+        shape,
     )
+
+
+def _random_vec_poly(rng, n=3, harmonics=(-2, -1, 1, 3)):
+    return _random_poly(rng, (n,), harmonics)
 
 
 def test_vector_poly_evaluates_like_the_sum():
@@ -438,3 +446,121 @@ def test_sampler_basis_times_coefficients_is_the_polynomial():
     basis = sampler.basis(t)
     assert basis.shape == (4, 2, len(poly.data))
     assert np.allclose(basis @ sampler.coeffs, sampler(t).reshape(4, 2, -1), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("row", "matrix"),
+        ("row constant", "matrix"),
+        ("vector", "matrix"),
+        ("vector", "matrix constant"),
+        ("matrix", "row"),
+        ("matrix constant", "vector"),
+        ("matrix constant", "matrix"),
+        ("matrix", "matrix constant"),
+    ],
+)
+def test_products_evaluate_pointwise_for_vectors_on_either_side(left, right):
+    # A vector on the left is a row, on the right a column, as in numpy.
+    # Polynomials on both sides are in
+    # test_matrix_poly_product_matches_pointwise_values.
+    rng = np.random.default_rng(31)
+    operand = {
+        "row": lambda: rng.standard_normal(3) + 1j,
+        "row constant": lambda: TrigPoly.constant(rng.standard_normal(3)),
+        "vector": lambda: _random_poly(rng, (3,)),
+        "matrix": lambda: _random_poly(rng, (3, 3), (-1, 2)),
+        "matrix constant": lambda: rng.standard_normal((3, 3)),
+    }
+    a, b = operand[left](), operand[right]()
+    prod = a @ b
+    for tau in rng.uniform(0, 2 * np.pi, size=4):
+        want = (a(tau) if isinstance(a, TrigPoly) else a) @ (
+            b(tau) if isinstance(b, TrigPoly) else b
+        )
+        assert prod.shape == want.shape
+        assert np.allclose(prod(tau), want, rtol=0, atol=1e-12)
+
+
+def test_products_of_mismatched_values_name_both_shapes():
+    rng = np.random.default_rng(32)
+    matrix, vector = _random_poly(rng, (3, 3)), _random_poly(rng, (2,))
+    for a, b in ((matrix, vector), (vector, matrix), (matrix, np.ones((2, 2))),
+                 (np.ones(2), matrix), (vector, vector)):
+        with pytest.raises(ValueError, match=r"\(.*\) and \(.*\)"):
+            a @ b
+    with pytest.raises(ValueError, match=r"\(3, 3\) and \(2,\)"):
+        matrix.mean_of_product(vector)
+
+
+def _naive_product(a, b, H_a, H_b):
+    """sum over harmonic pairs (i, j) of a_i @ b_j at harmonic i + j, and
+    the mean: the pairs with i + j = 0."""
+    shape = (a[0] @ b[0]).shape
+    out = np.zeros((len(a) + len(b) - 1,) + shape, dtype=complex)
+    mean = np.zeros(shape, dtype=complex)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] @ b[j]
+            if (i - H_a) + (j - H_b) == 0:
+                mean += a[i] @ b[j]
+    return out, mean
+
+
+_VALUES = {"row": lambda n: (n,), "matrix": lambda n: (n, n), "column": lambda n: (n,)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_products_match_the_naive_double_loop_exactly(data):
+    # Small integers are exact in floating point, and so is every sum of
+    # their products, whatever order numpy adds them in.
+    n = data.draw(st.integers(1, 5), label="n")
+    left, right = data.draw(
+        st.sampled_from([("row", "matrix"), ("matrix", "column"), ("matrix", "matrix")]),
+        label="values",
+    )
+
+    def stack(H, kind):
+        shape = (2 * H + 1,) + _VALUES[kind](n)
+        size = int(np.prod(shape))
+        parts = [
+            data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+            for _ in range(2)
+        ]
+        return (np.array(parts[0]) + 1j * np.array(parts[1])).reshape(shape)
+
+    H_a, H_b = data.draw(st.integers(0, 4), label="H_a"), data.draw(st.integers(0, 4), label="H_b")
+    a_data, b_data = stack(H_a, left), stack(H_b, right)
+    a, b = TrigPoly(a_data), TrigPoly(b_data)
+    product, mean = _naive_product(a_data, b_data, H_a, H_b)
+    assert np.array_equal((a @ b).data, product)
+    assert np.array_equal(a.mean_of_product(b), mean)
+    # Constants on either side, as arrays.
+    c_right, c_left = stack(0, right)[0], stack(0, left)[0]
+    assert np.array_equal((a @ c_right).data, _naive_product(a_data, c_right[None], H_a, 0)[0])
+    assert np.array_equal((c_left @ b).data, _naive_product(c_left[None], b_data, 0, H_b)[0])
+    plus = a_data.copy()
+    plus[H_a] += c_left
+    assert np.array_equal((a + c_left).data, plus)
+
+
+@pytest.mark.parametrize("t", [0.4, np.linspace(-1.0, 1.0, 7), np.arange(12.0).reshape(3, 4)])
+def test_sampler_takes_complex_coefficients_in_any_layout(t):
+    rng = np.random.default_rng(33)
+    rates = np.array([0.0, 1.0, 2.0, 1.0, 2.0])
+    shifts = np.repeat([0.0, np.pi / 2], [3, 2])
+    wide = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    coeffs = wide[:, ::2]  # a column slice: not C-contiguous
+    assert not coeffs.flags.c_contiguous
+    sampler = Sampler(rates, shifts, coeffs, (2, 2))
+    got = sampler(t)
+    want = (sampler.basis(np.asarray(t)) @ coeffs).reshape(np.shape(t) + (2, 2))
+    assert got.dtype == np.complex128 and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    real = Sampler(rates, shifts, coeffs.real, (2, 2))
+    got = real(t)
+    assert got.dtype == np.float64
+    want = (real.basis(np.asarray(t)) @ coeffs.real).reshape(want.shape)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
