@@ -39,9 +39,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _checked(value, shape, name):
-    """Frozen complex copy of value after checking its shape and finiteness."""
-    arr = _freeze(value)
+    """Frozen complex copy of value, a finite rectangular array of numbers of
+    the given shape: ragged rows and boolean or string arrays are rejected."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iufcO":
+            raise TypeError
+        arr = _freeze(arr)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{name} must be an array of numbers of shape {shape}") from None
     if arr.shape != shape:
         raise SchemaError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -50,19 +61,19 @@ def _checked(value, shape, name):
 
 
 def _checked_harmonics(coeffs, shape, name, low, m):
-    """Checked harmonic -> coefficient map for low <= |l| <= m, exact zeros
-    dropped (after the checks, so a zero block out of range is rejected)."""
+    """Checked map from integer harmonics low <= |l| <= m, exact zeros dropped
+    (after the checks, so a zero block out of range is rejected)."""
+    if not isinstance(coeffs, dict):
+        raise SchemaError(f"{name} must be a dict of harmonic -> coefficient")
     out = {}
-    for key, c in coeffs.items():
-        try:
-            l = int(key)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{name} harmonic {key!r} is not an integer") from None
+    for l, c in coeffs.items():
+        if not _is_int(l):
+            raise SchemaError(f"{name} harmonic {l!r} is not an integer")
         if not low <= abs(l) <= m:
             raise SchemaError(f"{name} harmonic {l} outside {low} <= |l| <= {m}")
         arr = _checked(c, shape, f"{name}[{l}]")
         if np.any(arr):
-            out[l] = arr
+            out[int(l)] = arr
     return out
 
 
@@ -320,7 +331,7 @@ class ProblemSpec:
     ``B`` maps nonzero harmonic indices l (1 <= |l| <= m) to n x n matrices,
     ``d`` maps harmonic indices (0 allowed) to forcing vectors.  Exact-zero
     coefficients are dropped on construction, so two specs describing the
-    same system compare equal.
+    same system have the same canonical document, which ``==`` compares.
     """
 
     n: int
@@ -336,10 +347,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not isinstance(self.real_mode, bool):
             raise SchemaError(f"real_mode must be a boolean, got {self.real_mode!r}")
-        if not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-            for v in (self.n, self.m)
-        ):
+        if not (_is_int(self.n) and _is_int(self.m)):
             raise SchemaError(f"n and m must be integers, got {self.n!r}, {self.m!r}")
         n, m = int(self.n), int(self.m)
         if n < 1:
@@ -402,17 +410,7 @@ class ProblemSpec:
     def __eq__(self, other):
         if not isinstance(other, ProblemSpec):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and self.real_mode == other.real_mode
-            and np.array_equal(self.A0, other.A0)
-            and np.array_equal(self.B0, other.B0)
-            and self.B.keys() == other.B.keys()
-            and all(np.array_equal(c, other.B[l]) for l, c in self.B.items())
-            and self.d.keys() == other.d.keys()
-            and all(np.array_equal(c, other.d[l]) for l, c in self.d.items())
-        )
+        return serialize_problem(self) == serialize_problem(other)
 
     __hash__ = None
 
@@ -457,36 +455,27 @@ def _parse_entry(value, real_mode, where):
         raise SchemaError(f"{where}: entry too large for floating point") from None
 
 
-def _parse_vector(entries, real_mode, where):
-    if not isinstance(entries, list):
-        raise SchemaError(f"{where}: expected a list of entries")
-    return np.array(
-        [_parse_entry(v, real_mode, f"{where}[{j}]") for j, v in enumerate(entries)],
-        dtype=complex,
-    )
+def _parse_array(value, depth, real_mode, where):
+    """Nested lists, ``depth`` >= 1 levels deep, of complex entries."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list")
+    if depth > 1:
+        return [_parse_array(v, depth - 1, real_mode, f"{where}[{i}]") for i, v in enumerate(value)]
+    return [_parse_entry(v, real_mode, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _parse_matrix(rows, real_mode, where):
-    if not isinstance(rows, list):
-        raise SchemaError(f"{where}: expected a list of rows")
-    out = [_parse_vector(row, real_mode, f"{where}[{i}]") for i, row in enumerate(rows)]
-    if len({len(row) for row in out}) > 1:
-        raise SchemaError(f"{where}: rows of unequal length")
-    return np.array(out, dtype=complex)
-
-
-def _parse_indexed(block, real_mode, where, parse_value):
+def _parse_indexed(block, depth, real_mode, where):
     if not isinstance(block, dict):
         raise SchemaError(f"{where}: expected an object with harmonic-index keys")
     out = {}
     for key, value in block.items():
         try:
             l = int(key)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise SchemaError(f"{where}: key {key!r} is not an integer") from None
-        if not isinstance(key, str) or str(l) != key:
+        if str(l) != key:
             raise SchemaError(f"{where}: key {key!r} is not a canonical integer string")
-        out[l] = parse_value(value, real_mode, f"{where}[{key!r}]")
+        out[l] = _parse_array(value, depth, real_mode, f"{where}[{key!r}]")
     return out
 
 
@@ -496,8 +485,8 @@ def parse_problem(doc) -> ProblemSpec:
     Raises SchemaError for structural problems and ConjugacyError when a
     real_mode document breaks conjugate symmetry.  An optional "meta" field
     is tolerated and ignored; any other unknown field is rejected.  This
-    only converts the entries; ProblemSpec checks n, m, real_mode, shapes
-    and harmonic ranges.
+    only decodes the entries and the harmonic keys; ProblemSpec checks n, m,
+    real_mode, shapes and harmonic ranges.
     """
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be a JSON object")
@@ -511,10 +500,10 @@ def parse_problem(doc) -> ProblemSpec:
     return ProblemSpec(
         n=doc["n"],
         m=doc["m"],
-        A0=_parse_matrix(doc["A0"], real_mode, "A0"),
-        B0=_parse_matrix(doc["B0"], real_mode, "B0"),
-        B=_parse_indexed(doc["B"], real_mode, "B", _parse_matrix),
-        d=_parse_indexed(doc["d"], real_mode, "d", _parse_vector),
+        A0=_parse_array(doc["A0"], 2, real_mode, "A0"),
+        B0=_parse_array(doc["B0"], 2, real_mode, "B0"),
+        B=_parse_indexed(doc["B"], 2, real_mode, "B"),
+        d=_parse_indexed(doc["d"], 1, real_mode, "d"),
         real_mode=real_mode,
     )
 
@@ -542,17 +531,27 @@ def serialize_problem(spec: ProblemSpec) -> dict:
     }
 
 
+def _json_object(pairs) -> dict:
+    """A JSON object; json alone keeps the last value of a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_problem(path) -> ProblemSpec:
     """Read and validate a problem document from a UTF-8 JSON file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
     except (ValueError, RecursionError) as exc:
-        # Malformed JSON, an integer past the interpreter's digit limit, or
-        # nesting past its recursion limit.
+        # Malformed JSON, a repeated key, an integer past the interpreter's
+        # digit limit, or nesting past its recursion limit.
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
     return parse_problem(doc)

@@ -92,6 +92,25 @@ def _assert_input_error(capsys, argv, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "key, rest",
+    [
+        # B_1 twice: json alone keeps the second block, and analyze runs.
+        ("1", '"B": {"1": [[[0.5, 0.0]]], "1": [[[9.0, 0.0]]]}, "d": {}'),
+        ("d", '"B": {}, "d": {"0": [[1.0, 0.0]]}, "d": {}'),
+    ],
+    ids=["B", "top-level"],
+)
+def test_repeated_key_exits_one(tmp_path, key, rest):
+    path = tmp_path / "repeated.json"
+    head = '"n": 1, "m": 1, "real_mode": false, "A0": [[[0.0, 0.0]]], "B0": [[[-1.0, 0.0]]]'
+    path.write_text("{" + head + ", " + rest + "}")
+    proc = _run_module("analyze", str(path), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and f"repeated key {key!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_document_that_is_not_utf8_exits_one(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

@@ -94,6 +94,7 @@ def test_serialization_always_emits_pairs():
         lambda d: d["B"].update({"0": [[0.0, 0.0], [0.0, 0.0]]}),
         lambda d: d["B"].update({"+1": [[0.0, 0.0], [0.0, 0.0]]}),
         lambda d: d["B"].update({"1.5": [[0.0, 0.0], [0.0, 0.0]]}),
+        lambda d: d["B"].update({float("inf"): [[0.0, 0.0], [0.0, 0.0]]}),
         lambda d: d["B"].update({"2": [[0.1, 0.0], [0.0, 0.0]]}),
         lambda d: d["d"].update({"-2": [0.1, 0.0]}),
         lambda d: d.update(extra=1),
@@ -157,6 +158,15 @@ def test_parse_rejects_non_finite_entries(place, bad):
         dict(B={2: [[0.0]]}),
         dict(d={-2: [0.0]}),
         dict(d={"x": [0.0]}),
+        # Each of these could be read as some other system.  Complex mode,
+        # so that no conjugacy check rejects them for another reason.
+        dict(B={1.5: [[1.0]]}, real_mode=False),
+        dict(B={True: [[1.0]]}, real_mode=False),
+        dict(d={1: [1.0], "1": [2.0]}, real_mode=False),
+        dict(A0=[["1"]], real_mode=False),
+        dict(A0=[[True]], real_mode=False),
+        dict(n=2, A0=[[0.0, 1.0], [1.0]], B0=[[1.0, 0.0], [0.0, 1.0]], real_mode=False),
+        dict(B=[[[1.0]]], real_mode=False),
     ],
     ids=repr,
 )
@@ -164,6 +174,85 @@ def test_spec_rejects_invalid_fields(change):
     base = dict(n=1, m=1, A0=[[0.0]], B0=[[1.0]])
     with pytest.raises(SchemaError):
         ProblemSpec(**{**base, **change})
+
+
+def test_spec_takes_numpy_integer_harmonics():
+    spec = ProblemSpec(n=1, m=1, A0=[[0.0]], B0=[[1.0]], B={np.int64(1): [[1.0]]}, real_mode=False)
+    assert list(spec.B) == [1] and type(next(iter(spec.B))) is int
+    assert spec == ProblemSpec(n=1, m=1, A0=[[0.0]], B0=[[1.0]], B={1: [[1.0]]}, real_mode=False)
+
+
+# Signed zeros, subnormals and values near the ends of the float range,
+# next to whatever hypothesis draws.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _spec_fields(draw):
+    """ProblemSpec keywords: n 1-4, m 0-3, sparse harmonic sets, some blocks
+    exactly zero, and conjugate pairs with real A0, B0, d_0 in real mode."""
+    n, m, real_mode = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.booleans())
+
+    def block(shape, real=False):
+        if draw(st.integers(0, 4)) == 0:
+            return np.zeros(shape, dtype=complex)
+        size = int(np.prod(shape))
+        re, im = (draw(st.lists(_ENTRIES, min_size=size, max_size=size)) for _ in range(2))
+        return np.array([complex(a, 0.0 if real else b) for a, b in zip(re, im)]).reshape(shape)
+
+    def harmonics(shape, low):
+        if not real_mode:
+            ls = draw(st.sets(st.sampled_from(range(-m, m + 1)))) if m else set()
+            return {l: block(shape) for l in ls if abs(l) >= low}
+        out = {}
+        for l in draw(st.sets(st.sampled_from(range(low, m + 1)))) if m >= low else ():
+            out[l] = block(shape, real=l == 0)
+            if l:
+                out[-l] = out[l].conj()
+        return out
+
+    return dict(
+        n=n,
+        m=m,
+        real_mode=real_mode,
+        A0=block((n, n), real_mode),
+        B0=block((n, n), real_mode),
+        B=harmonics((n, n), 1),
+        d=harmonics((n,), 0),
+    )
+
+
+def _written_by_hand(fields):
+    """The document for the fields, with bare numbers wherever real_mode
+    allows them and the harmonic keys in drawing order."""
+
+    def entries(block, bare):
+        block = np.asarray(block)
+        return block.real.tolist() if bare else np.stack([block.real, block.imag], -1).tolist()
+
+    real = fields["real_mode"]
+    return {
+        **fields,
+        "A0": entries(fields["A0"], real),
+        "B0": entries(fields["B0"], real),
+        "B": {str(l): entries(c, False) for l, c in fields["B"].items()},
+        "d": {str(l): entries(c, real and l == 0) for l, c in fields["d"].items()},
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spec_fields())
+def test_documents_round_trip_exactly(fields):
+    spec = ProblemSpec(**fields)
+    text = json.dumps(serialize_problem(spec))
+    again = parse_problem(json.loads(text))
+    assert again == spec
+    # Bit for bit: the text tells -0.0 from 0.0, which == does not.
+    assert json.dumps(serialize_problem(again)) == text
+    assert parse_problem(json.loads(json.dumps(_written_by_hand(fields)))) == spec
 
 
 def test_complex_mode_requires_pairs():
