@@ -19,6 +19,7 @@ computed order can differ in stability).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,37 @@ IMAG_TOL = 1e-6
 
 # Default truncation depth (power of 1/omega) for the stability series.
 DEFAULT_TRUNC = 6
+
+
+@functools.cache
+def _pairs(k: int):
+    ij = np.array(np.nonzero(np.tri(k, dtype=bool)[::-1]))
+    ij.setflags(write=False)
+    return ij, tuple(slice(np.sum(ij[0] < g), np.sum(ij[0] <= g)) for g in range(k))
+
+
+def _product(a, b, op=np.multiply):
+    """Truncated product of order-first coefficient stacks: order q is the sum
+    of op(a[i], b[q - i]) over i <= q, through the shorter stack.  Only pairs
+    inside the truncation are formed, so no order reads a higher one; their
+    indices (grouped by i) are cached: building them costs more than a product."""
+    (i, j), groups = _pairs(min(len(a), len(b)))
+    terms = op(a[i], b[j])
+    out = terms[groups[0]].copy()
+    for shift, group in enumerate(groups[1:], start=1):
+        out[shift:] += terms[group]
+    return out
+
+
+def _inverse(a):
+    """Entrywise inverse of unit series, b_0 = 1/a_0, b_q = -b_0 sum_{1<=i<=q}
+    a_i b_{q-i}: products only, no pivoting to smear exact zeros."""
+    b = np.empty_like(a)
+    b[0] = 1.0 / a[0]
+    c = -b[0] * a[1:]
+    for q in range(1, len(a)):
+        b[q] = (c[:q] * b[q - 1 :: -1]).sum(axis=0)
+    return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,20 +128,14 @@ class Series:
     def __mul__(self, other):
         """Product of scalar series, or scaling by a number."""
         if isinstance(other, Series):
-            k = min(self.trunc, other.trunc)
-            return Series(np.convolve(self.coeffs, other.coeffs)[: k + 1])
+            return Series(_product(self.coeffs, other.coeffs))
         return Series(complex(other) * self.coeffs)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Series") -> "Series":
         """Product of matrix series: sum_{i<=q} A_i B_{q-i} at order q."""
-        k = min(self.trunc, other.trunc)
-        a, b = self.coeffs, other.coeffs
-        out = a[0] @ b[: k + 1]
-        for i in range(1, k + 1):
-            out[i:] += a[i] @ b[: k + 1 - i]
-        return Series(out)
+        return Series(_product(self.coeffs, other.coeffs, np.matmul))
 
     def trace(self) -> "Series":
         return Series(np.trace(self.coeffs, axis1=-2, axis2=-1))
@@ -170,7 +196,8 @@ def char_poly_series(ms: Series) -> list:
 
     Faddeev-LeVerrier in series arithmetic: M_1 = I, c_k = -tr(A M_k)/k,
     M_{k+1} = A M_k + c_k I.  Works over any commutative ring, so the
-    truncated-series coefficients are exact up to rounding.
+    truncated-series coefficients are exact up to rounding.  Raises
+    NonFiniteError when a product overflows.
 
     Chained by hand with ``hurwitz_series`` and ``classify``, it has no
     constant-term fallback (``analyze_stability``): rounding constant terms
@@ -181,12 +208,14 @@ def char_poly_series(ms: Series) -> list:
     eye = np.eye(n)
     alphas = []
     M = Series.constant(eye, ms.trunc)
-    for k in range(1, n + 1):
-        AM = ms @ M
-        ck = (-1.0 / k) * AM.trace()
-        alphas.append(ck)
-        if k < n:
-            M = AM + Series(ck.coeffs[:, None, None] * eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            AM = ms @ M
+            check_finite(f"A M_{k} of the characteristic series", AM.coeffs)
+            ck = (-1.0 / k) * AM.trace()
+            alphas.append(ck)
+            if k < n:
+                M = AM + Series(ck.coeffs[:, None, None] * eye)
     return alphas
 
 
@@ -194,110 +223,90 @@ def hurwitz_series(alphas: list) -> list:
     """Leading principal minors D_1..D_n of the Hurwitz matrix, as series.
 
     Row i, column j of the Hurwitz matrix holds alpha_{2i-j} (1-indexed),
-    with alpha_0 = 1 and alpha out of range zero.  Every leading block is
-    reduced by Gaussian elimination over the truncated series ring
-    C[eps]/eps^(trunc+1), eps = 1/omega, where trunc is the smallest
-    truncation of the alphas; the blocks H_1..H_{n-1} ride one
-    batched elimination, each padded with zeros to the largest size, and
-    D_n = alpha_n D_{n-1} because the last row of H_n holds alpha_n alone.
+    with alpha_0 = 1 and alpha out of range zero.  The leading blocks
+    H_1..H_{n-1}, padded with zeros to the largest, are one stack in the
+    layout of ``Series.coeffs``, (order, block, row, column), and one
+    Gaussian elimination over the ring of ``Series`` reduces them all:
+    C[eps]/eps^(trunc+1), eps = 1/omega, trunc the smallest truncation of
+    the alphas.  D_n = alpha_n D_{n-1}: the last row of H_n holds alpha_n.
 
     Order-0 entries at or below ``PIVOT_TOL`` times their block's largest
-    coefficient are set to exact zeros.  Each step then takes the largest order-0 entry of a
-    block as pivot (complete pivoting).  Its series is a unit: the
-    determinant is multiplied by it and the Schur complement is formed with
-    its inverse series, which loses nothing modulo eps^(trunc+1).  A block
-    without a nonzero order-0 entry is divisible by eps: det(B) = eps^m
-    det(B / eps), so its layers move down one order and m is added to the
-    minor's eps-power.  The top layer that this leaves unknown only reaches
-    orders above the truncation.  A minor whose eps-power passes ``trunc``
-    is zero through the truncation.  The cost is O(n^4 trunc^2).  Chained
-    by hand it gives wrong verdicts: see ``char_poly_series``.
+    coefficient are set to exact zeros.  Each step then takes the largest
+    order-0 entry of a block as pivot (complete pivoting).  Its series is a
+    unit: the determinant is multiplied by it and the Schur complement is
+    formed with its inverse, which loses nothing modulo eps^(trunc+1).  A
+    block without a nonzero order-0 entry is divisible by eps: det(B) =
+    eps^m det(B / eps), so its layers move down one order and m is added to
+    the minor's eps-power.  The top layer that this leaves unknown only
+    reaches orders above the truncation.  A minor whose eps-power passes
+    ``trunc`` is zero through the truncation.  The cost is O(n^4 trunc^2).
+    Raises NonFiniteError when a determinant overflows, also one whose minor
+    vanishes (n = 40).  Chained by hand it gives wrong verdicts: see
+    ``char_poly_series``.
     """
     if not alphas:
         raise ValueError("hurwitz_series needs at least one coefficient alpha_1")
     trunc = min(a.trunc for a in alphas)
     n, width = len(alphas), trunc + 1
-    # toeplitz(a)[..., q, i] = a[..., q - i] on and below the diagonal, so
-    # toeplitz(a) @ b is the truncated product of the series a and b.
-    lag = np.subtract.outer(np.arange(width), np.arange(width))
-    below = lag >= 0
-    eye = np.eye(width)
-
-    def toeplitz(a):
-        return a[..., lag] * below
-
-    # alpha_0 = 1, alpha_1..alpha_n, and a zero row for indices out of range.
-    table = np.zeros((n + 2, width), dtype=complex)
-    table[0, 0] = 1.0
-    table[1 : n + 1] = [a.coeffs[:width] for a in alphas]
+    # alpha_0 = 1, alpha_1..alpha_n, and a zero column for indices out of range.
+    table = np.stack([np.eye(width)[0], *(a.coeffs[:width] for a in alphas), np.zeros(width)], 1)
     size = n - 1
     i, j = np.arange(size)[:, None], np.arange(size)
     index = 2 * i - j + 1
-    H = table[np.where((index >= 0) & (index <= n), index, n + 1)]
-    # Block b is H_{b+1} padded with zeros: shape (blocks, rows, cols, order).
-    # Block b has b + 1 active rows and columns while it is open, and its
-    # zero padding never wins the pivot search.
-    W = np.where((np.maximum(i, j) <= np.arange(size)[:, None, None])[..., None], H, 0.0)
-    floor = PIVOT_TOL * np.abs(W).max(axis=(1, 2, 3), initial=0.0)[:, None, None]
-    det = np.zeros((size, width), dtype=complex)
-    det[:, 0] = 1.0
-    power = np.zeros(size, dtype=int)
-    parity = np.zeros(size, dtype=int)
+    H = table[:, np.where((index >= 0) & (index <= n), index, n + 1)]
+    # Block b is H_{b+1}: b + 1 active rows and columns while it is open,
+    # and zero padding that never wins the pivot search.
+    W = np.where(np.maximum(i, j) <= np.arange(size)[:, None, None], H[:, None], 0.0)
+    floor = PIVOT_TOL * np.abs(W).max(axis=(0, 2, 3), initial=0.0)[:, None, None]
+    # One determinant per block, kept past the block's last step for the
+    # final check.
+    det = np.zeros((width, size), dtype=complex)
+    det[0] = 1.0
+    power, parity = np.zeros((2, size), dtype=int)
     minors = []
-    for blocks in range(size, 0, -1):
-        while True:
-            # Order-0 entries that count as zero are made exact zeros.
-            lead = np.abs(W[..., 0])
-            zero = lead <= floor
-            W[..., 0][zero] = 0.0
-            lead[zero] = 0.0
-            lead = lead.reshape(blocks, -1)
-            short = ~lead.any(axis=1) & (power <= trunc)
-            if not short.any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blocks in range(size, 0, -1):
+            while True:
+                # Order-0 entries that count as zero are made exact zeros.
+                W[0][np.abs(W[0]) <= floor] = 0.0
+                lead = np.abs(W[0]).reshape(blocks, -1)
+                short = ~lead.any(axis=1) & (power <= trunc)
+                if not short.any():
+                    break
+                W[:-1, short] = W[1:, short]
+                W[-1, short] = 0.0
+                power[short] += np.flatnonzero(short) + 1
+            dead = power > trunc
+            if dead.any():
+                # Their minors vanish through the truncation; an identity block
+                # rides along harmlessly until it is dropped.
+                W[:, dead] = 0.0
+                W[0, dead] = np.eye(blocks)
+                lead[dead] = np.eye(blocks).ravel()
+            # Move each pivot to the corner, keeping the other rows and columns
+            # in order: r + c transpositions.
+            r, c = np.divmod(lead.argmax(axis=1)[:, None], blocks)
+            keep = np.arange(blocks - 1)
+            rows = np.concatenate([r, keep + (keep >= r)], axis=1)
+            cols = np.concatenate([c, keep + (keep >= c)], axis=1)
+            W = W[:, np.arange(blocks)[:, None, None], rows[:, :, None], cols[:, None, :]]
+            done = size - blocks
+            det[:, done:] = _product(det[:, done:], W[:, :, 0, 0])
+            parity += (r + c)[:, 0]
+            # Block 0 had one active row left: its minor is complete.
+            minor = np.zeros(width, dtype=complex)
+            if power[0] <= trunc:
+                minor[power[0] :] = (-1) ** parity[0] * det[: width - power[0], done]
+            minors.append(Series(minor))
+            if blocks == 1:
                 break
-            W[short, ..., :-1] = W[short, ..., 1:]
-            W[short, ..., -1] = 0.0
-            power[short] += np.flatnonzero(short) + 1
-        dead = power > trunc
-        if dead.any():
-            # Their minors vanish through the truncation; an identity block
-            # rides along harmlessly until it is dropped.
-            W[dead] = 0.0
-            W[dead, :, :, 0] = np.eye(blocks)
-            lead[dead] = np.eye(blocks).ravel()
-        # Move each pivot to the corner, keeping the other rows and columns
-        # in order: r + c transpositions.
-        r, c = np.divmod(lead.argmax(axis=1)[:, None], blocks)
-        keep = np.arange(blocks - 1)
-        rows = np.concatenate([r, keep + (keep >= r)], axis=1)
-        cols = np.concatenate([c, keep + (keep >= c)], axis=1)
-        at = (np.arange(blocks)[:, None, None], rows[:, :, None], cols[:, None, :])
-        W = W[at]
-        det = (toeplitz(det) @ W[:, 0, 0, :, None])[..., 0]
-        parity += (r + c)[:, 0]
-        # Block 0 had one active row left: its minor is complete.
-        minor = np.zeros(width, dtype=complex)
-        if power[0] <= trunc:
-            minor[power[0] :] = (-1) ** parity[0] * det[0, : width - power[0]]
-        minors.append(Series(minor))
-        if blocks == 1:
-            break
-        W, det, power, parity, floor = W[1:], det[1:], power[1:], parity[1:], floor[1:]
-        m = blocks - 1
-        # T(pivot) = p0 (I + N) with N nilpotent, so its inverse is
-        # (I - N)(I + N^2)(I + N^4)... / p0: products only, no pivoting
-        # that would smear the exact zeros of col over f = col / pivot.
-        p0 = W[:, 0, 0, :1, None]
-        N = toeplitz(W[:, 0, 0]) / p0 - eye
-        inv, Nk, done = eye - N, N @ N, 2
-        while done < width:
-            inv, Nk, done = inv + inv @ Nk, Nk @ Nk, 2 * done
-        f = (inv / p0) @ W[:, 1:, 0].transpose(0, 2, 1)
-        # Schur complement: rest - f * row.
-        update = toeplitz(W[:, 0, 1:]).reshape(m, m * width, width) @ f
-        W = W[:, 1:, 1:] - update.reshape(m, m, width, m).transpose(0, 3, 1, 2)
-    # The last row of H_n is (0, ..., 0, alpha_n); for n = 1 alpha_1 sets trunc.
-    minors.append(alphas[-1] * minors[-1] if minors else alphas[-1])
+            W, power, parity, floor = W[:, 1:], power[1:], parity[1:], floor[1:]
+            # Schur complement: rest - (col / pivot) * row.
+            f = _product(_inverse(W[:, :, :1, 0]), W[:, :, 1:, 0])
+            W = W[:, :, 1:, 1:] - _product(f[..., None], W[:, :, :1, 1:])
+        # The last row of H_n is (0, ..., 0, alpha_n); for n = 1 alpha_1 sets trunc.
+        minors.append(alphas[-1] * minors[-1] if minors else alphas[-1])
+    check_finite("a Hurwitz minor", det, minors[-1].coeffs)
     return minors
 
 

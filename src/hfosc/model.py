@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,10 +46,16 @@ def _is_int(value) -> bool:
 
 def _checked(value, shape, name):
     """Frozen complex copy of value, a finite rectangular array of numbers of
-    the given shape: ragged rows and boolean or string arrays are rejected."""
+    the given shape: ragged rows, booleans, strings and None are rejected,
+    also among numbers.  A numeric ndarray is taken as it is."""
     try:
-        arr = np.asarray(value)
-        if arr.dtype.kind not in "iufcO":
+        # Anything but an ndarray goes through an object array, where a
+        # boolean or None among numbers is seen before numpy converts it.
+        arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+        if arr.dtype.kind not in "iufcO" or arr.dtype.kind == "O" and not all(
+            issubclass(t, numbers.Number) and not issubclass(t, (bool, np.bool_))
+            for t in {type(x) for x in arr.flat}
+        ):
             raise TypeError
         arr = _freeze(arr)
     except (TypeError, ValueError, OverflowError):

@@ -78,6 +78,27 @@ def test_series_truncation_commutes_with_multiplication():
             assert full.coeff(q) == pytest.approx(cut.coeff(q))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_series_products_are_causal(bad):
+    # Order q of a product reads orders <= q of its operands and nothing
+    # above: a non-finite order q leaves the orders below it as they were.
+    rng = np.random.default_rng(3)
+    for shape, mul in (((), lambda x, y: x * y), ((3, 3), lambda x, y: x @ y)):
+        a, b = (rng.standard_normal((6,) + shape) for _ in range(2))
+        for q in range(1, 6):
+            spoilt = a.copy()
+            spoilt[q] = bad
+            with np.errstate(invalid="ignore"):
+                for x, y in ((spoilt, b), (b, spoilt)):
+                    got = mul(Series(x), Series(y)).coeffs
+                    want = mul(Series(x[:q]), Series(y[:q])).coeffs
+                    np.testing.assert_array_equal(got[:q], want)
+                    assert not np.isfinite(got[q]).all()
+        # Unequal truncations give the shorter one.
+        assert mul(Series(a), Series(b[:4])).trunc == 3
+        assert mul(Series(a[:2]), Series(b)).trunc == 1
+
+
 def test_matrix_series_arithmetic():
     rng = np.random.default_rng(2)
     A = tuple(rng.standard_normal((3, 3)) for _ in range(4))
@@ -306,10 +327,10 @@ def test_hurwitz_series_and_classify_reject_empty_input():
         classify([])
 
 
-def test_hurwitz_series_frees_its_memo():
-    # The memoized recursion must not leave its table to the cycle
-    # collector: in a long run that collector may not come round for a
-    # long time, and the tables pile up.
+def test_hurwitz_series_retains_no_garbage():
+    # Nothing the elimination builds may be left to the cycle collector: in
+    # a long run that collector may not come round for a long time, and
+    # what it holds piles up.
     rng = np.random.default_rng(6)
     alphas = [Series(rng.standard_normal(7)) for _ in range(10)]
     gc.collect()
@@ -534,3 +555,25 @@ def test_averaging_transform_raises_on_overflow():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="averaging transform"):
             kb_transform(big, 6)
+
+
+@pytest.mark.parametrize("stable", [True, False])
+def test_series_chain_raises_on_overflow(stable):
+    # At n = 40 the determinants of the leading Hurwitz blocks overflow,
+    # while the minors the truncation keeps of them read as vanishing.
+    spec = problems.constructed([0, 9, 40], 40, 2, 2, stable)
+    alphas = char_poly_series(formal_average(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="Hurwitz minor"):
+            hurwitz_series(alphas)
+    # The full pipeline stops before it forms any minor.
+    assert analyze_stability(spec).kind == "Inconclusive"
+
+
+def test_characteristic_series_raises_on_overflow():
+    big = Series.constant(1e200 * np.ones((2, 2)), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="characteristic series"):
+            char_poly_series(big)

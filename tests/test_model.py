@@ -167,12 +167,17 @@ def test_parse_rejects_non_finite_entries(place, bad):
         dict(A0=[[True]], real_mode=False),
         dict(n=2, A0=[[0.0, 1.0], [1.0]], B0=[[1.0, 0.0], [0.0, 1.0]], real_mode=False),
         dict(B=[[[1.0]]], real_mode=False),
+        # numpy would read True among floats as 1.0, and None as nan.
+        dict(n=2, m=0, A0=[[True, 0.0], [0.0, 0.5]], B0=[[1.0, 0.0], [0.0, 1.0]]),
+        dict(A0=[[None]]),
     ],
     ids=repr,
 )
 def test_spec_rejects_invalid_fields(change):
     base = dict(n=1, m=1, A0=[[0.0]], B0=[[1.0]])
-    with pytest.raises(SchemaError):
+    # None is refused as what it is, not as a non-finite number.
+    match = "must be an array of numbers" if change.get("A0") == [[None]] else None
+    with pytest.raises(SchemaError, match=match):
         ProblemSpec(**{**base, **change})
 
 
