@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRealError, check_finite
-from .model import ProblemSpec, TrigPoly
+from .model import ProblemSpec, TrigPoly, _integrated
 from .spectral import numerical_rank
 
 # Relative floor below which a series coefficient counts as zero.
@@ -163,7 +163,7 @@ def kb_transform(spec: ProblemSpec, trunc: int):
             check_finite(f"order {k} of the averaging transform", G.data)
             A_list.append(G.mean())
             if k < trunc:
-                U.append((G - G.mean()).antiderivative())
+                U.append(TrigPoly._of(_integrated(G.data)))
     return Series(A_list), U[1:]
 
 

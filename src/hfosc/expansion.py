@@ -30,7 +30,8 @@ vanishes; that fixes C_{p-1} through the solvability matrix, after which
 x_p = -W (A1 v_{p-1} + theta_p).  So each sweep closes level p-1 and opens
 level p.
 
-Every step is ``TrigPoly`` arithmetic.  The arrays of level p hold the
+Every step is arithmetic on ``TrigPoly`` coefficient stacks, three new
+stacks per sweep (see ``expand``).  The arrays of level p hold the
 harmonics |l| <= (p+1) m at most, a bound set by p and the data and never
 by the requested order, so a longer expansion repeats a shorter one bit for
 bit.
@@ -43,7 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_finite
-from .model import ProblemSpec, TrigPoly
+from .model import (
+    ProblemSpec,
+    TrigPoly,
+    _add_centered,
+    _convolve,
+    _integrated,
+    _times,
+    _times_left,
+)
 from .spectral import KernelData, compute_kernel_data
 
 
@@ -104,25 +113,36 @@ def expand(
 ) -> AsymptoticExpansion:
     """Run the recursion through order + 1 sweeps and return levels 0..order.
 
-    theta_p's mean(B_osc beta_p) is ``B_osc.mean_of_product(beta_p)``: the
-    sum of B_l beta_{p,-l} over the harmonics |l| <= m alone, without the
-    product's other harmonics, which nothing reads."""
+    Each sweep makes three coefficient stacks: g = M (y_{p-1} + x_{p-1}) +
+    B0 y_{p-2} (+ d at p = 1), one polynomial product with the constant
+    terms added into it; beta_p = D^{-1} osc[g], one product with the integration
+    factors; and y_p, beta_p with (D^{-1} B_osc) v_{p-1} added.  theta_p's
+    mean(B_osc beta_p) is ``B_osc.mean_of_product(beta_p)``: the sum of
+    B_l beta_{p,-l} over the harmonics |l| <= m alone, without the product's
+    other harmonics, which nothing reads.  Z^H, the solvability solve
+    against it and -W are formed once, so closing a level takes five
+    matrix-vector products."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
-    kernel, left = kd.kernel, kd.left_kernel
+    kernel = kd.kernel
+    left_h = kd.left_kernel.conj().T
+    # C = -S^{-1} Z^H theta and x = -W g, as matrices.
+    to_coeff = np.linalg.solve(kd.solvability, -left_h)
+    minus_W = -kd.restricted_inverse
     B_osc = spec.osc_matrix()
     # d^-1(B_osc v) = (d^-1 B_osc) v for a constant v.
-    B_int = B_osc.antiderivative()
-    M = B_osc + spec.A0
+    B_int = B_osc.antiderivative().data
+    M = (B_osc + spec.A0).data
+    forcing = spec.forcing_poly().data
 
     def close_level(theta):
         """Solve the mean equation: C from solvability, then the x part."""
-        coeff = np.linalg.solve(kd.solvability, -(left.conj().T @ theta))
+        coeff = to_coeff @ theta
         v = kernel @ coeff
         g = kd.averaged @ v + theta
-        defect = float(np.max(np.abs(left.conj().T @ g)))
-        return coeff, v, -(kd.restricted_inverse @ g), defect
+        defect = float(np.max(np.abs(left_h @ g)))
+        return coeff, v, minus_W @ g, defect
 
     levels = []
     # Overflow is checked once per level, on g (which every earlier
@@ -131,14 +151,17 @@ def expand(
         theta = spec.d0.astype(complex)
         leading, v, x, lead_defect = close_level(theta)
         beta = y_prev = TrigPoly.constant(np.zeros(spec.n))
-        y = B_int @ v
+        y = TrigPoly._of(_times(B_int, v))
         for p in range(1, order + 2):
-            g = M @ (y + x) + spec.B0 @ y_prev
+            # g = M (y + x) + B0 y_prev (+ d at p = 1), one stack.
+            yx = y.data.copy()
+            yx[y.H] += x
+            g = _add_centered(_convolve(M, yx), _times_left(spec.B0, y_prev.data))
             if p == 1:
-                g = g + spec.forcing_poly()
+                _add_centered(g, forcing)
             mass = float(np.sum(safe_norm(beta.data)))
-            check_finite(f"order {p} of the expansion", g.data, mass)
-            beta_p = (g - g.mean()).antiderivative()
+            check_finite(f"order {p} of the expansion", g, mass)
+            beta_p = TrigPoly._of(_integrated(g))
             theta_p = spec.B0 @ x + B_osc.mean_of_product(beta_p)
             coeff, v, x_p, defect = close_level(theta_p)
             levels.append(
@@ -152,7 +175,8 @@ def expand(
                     solvability_defect=defect,
                 )
             )
-            y_prev, y = y, beta_p + B_int @ v
+            y_p = TrigPoly._of(_add_centered(beta_p.data.copy(), _times(B_int, v)))
+            y_prev, y = y, y_p
             x, beta, theta = x_p, beta_p, theta_p
     check_finite(f"order {order + 1} of the expansion", coeff, defect)
     return AsymptoticExpansion(
@@ -166,25 +190,40 @@ def expand(
     )
 
 
+def _summed(exp: AsymptoticExpansion, r: int, omega) -> TrigPoly:
+    """The order-r partial sum as one polynomial in tau = omega t:
+    omega C_{-1} a plus omega^{-k} (x_k + v_k + y_k) for k <= r, the
+    constant parts added into the mean row."""
+    kernel = exp.kernel_data.kernel
+    levels = exp.levels[: r + 1]
+    weights = omega ** -np.arange(len(levels), dtype=float)
+    means = np.array([lev.mean for lev in levels])
+    coeffs = np.array([lev.kernel_coeff for lev in levels]).reshape(len(levels), -1)
+    out = np.zeros((2 * max(lev.osc.H for lev in levels) + 1, exp.n), dtype=complex)
+    for w, lev in zip(weights, levels):
+        _add_centered(out, w * lev.osc.data)
+    out[len(out) // 2] += weights @ (means + coeffs @ kernel.T) + omega * (kernel @ exp.leading)
+    return TrigPoly._of(out)
+
+
+def _check_order(exp: AsymptoticExpansion, r: int) -> None:
+    if not 0 <= r <= exp.order:
+        raise ValueError(f"r must be in [0, {exp.order}], got {r}")
+
+
 def partial_sum(exp: AsymptoticExpansion, r: int, omega, t) -> np.ndarray:
     """Evaluate the order-r partial sum at time(s) t.
 
     The last axis of the result is the state dimension; leading axes follow
-    the shape of t.  A real system's sum is real: its float64 real part.
-    Raises NonFiniteError when the sum overflows, as it does for omega near
-    the ends of the floating-point range.
+    the shape of t.  The levels are summed into one polynomial first, which
+    is then evaluated once.  A real system's sum is real: its float64 real
+    part.  Raises NonFiniteError when the sum overflows, as it does for
+    omega near the ends of the floating-point range.
     """
-    if not 0 <= r <= exp.order:
-        raise ValueError(f"r must be in [0, {exp.order}], got {r}")
-    kernel = exp.kernel_data.kernel
-    t = np.asarray(t, dtype=float)
+    _check_order(exp, r)
     omega = np.float64(omega)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.broadcast_to(omega * (kernel @ exp.leading), t.shape + (exp.n,)).copy()
-        tau = omega * t
-        for k, lev in enumerate(exp.levels[: r + 1]):
-            const = lev.mean + kernel @ lev.kernel_coeff
-            out += omega ** (-k) * (const + lev.osc(tau))
+        out = _summed(exp, r, omega)(omega * np.asarray(t, dtype=float))
     check_finite(f"the order-{r} partial sum at omega={float(omega):g}", out)
     return out.real.copy() if exp.real_mode else out
 
@@ -194,17 +233,21 @@ def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> 
 
     The time derivative is taken analytically (only the oscillating parts
     move), so this measures the construction, not a difference scheme.  The
-    right side is the field's ``Sampler.apply`` at the sampled sum, so no
-    field grid is formed.  Scales like omega^{-r} when every matched order
-    truly cancels.  The defect is sampled at 256 phases over one period.
+    sum is the one polynomial of ``partial_sum``, and its time derivative is
+    omega times its phase derivative.  The right side is the field's
+    ``Sampler.apply`` at the sampled sum, so no field grid is formed.
+    Scales like omega^{-r} when every matched order truly cancels.  The
+    defect is sampled at 256 phases over one period.
     """
-    if not 0 <= r <= exp.order:
-        raise ValueError(f"r must be in [0, {exp.order}], got {r}")
+    _check_order(exp, r)
     taus = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-    S = partial_sum(exp, r, omega, taus / omega)
-    dS = sum(
-        float(omega) ** (1 - k) * lev.osc.derivative()(taus)
-        for k, lev in enumerate(exp.levels[: r + 1])
-    )
+    omega = np.float64(omega)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _summed(exp, r, omega)
+        S = total(taus)
+        dS = omega * total.derivative()(taus)
+    check_finite(f"the order-{r} partial sum at omega={float(omega):g}", S)
+    if exp.real_mode:
+        S = S.real
     rhs = spec.field_map(omega).apply(taus, S[..., None])[..., 0]
     return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

@@ -19,6 +19,7 @@ system is evaluated in real arithmetic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -104,6 +105,67 @@ def _times_left(c, stack):
     return stack @ c.T if stack.ndim == 2 else c @ stack
 
 
+def _transposed(stack):
+    """The stack of transposed coefficients; a vector is its own transpose."""
+    return stack if stack.ndim == 2 else stack.swapaxes(1, 2)
+
+
+def _convolve(a, b):
+    """Coefficient stack of the product of the stacks a and b: row q is the
+    sum of a[i] @ b[j] over i + j = q.
+
+    With the shorter stack on the left (a shorter right one is taken through
+    the transposes, (a b)^T = b^T a^T), one batched matmul forms every
+    product a[i] @ b[j] as one product of a[i] with the whole of b, into row
+    i of an (L, L_b + 2 (L - 1)) stack of terms that is zero outside them.
+    Row q of the result is then the terms (i, q - i), one diagonal of that
+    stack: a strided view, summed over i in one call, in order of i.  The
+    terms are the sums over the contracted axis of the per-harmonic
+    products, and they are added in the same order, so the result is the
+    per-harmonic loop's to the bit."""
+    if len(a) > len(b):
+        return _transposed(_convolve(_transposed(b), _transposed(a)))
+    L, k, rows = len(a), b.shape[1], len(a) + len(b) - 1
+    terms = np.zeros((L, len(b) + 2 * (L - 1)) + a.shape[1:-1] + b.shape[2:], dtype=complex)
+    products = terms[:, L - 1 : len(b) + L - 1]
+    if b.ndim == 2:
+        np.matmul(b, a.swapaxes(1, 2), out=products)
+    else:
+        np.matmul(a.reshape(L, 1, -1, k), b, out=products.reshape(L, len(b), -1, b.shape[2]))
+    step_i, step_j = terms.strides[:2]
+    # diagonals[i, q] = terms[i, L - 1 + q - i], the term a[i] @ b[q - i].
+    diagonals = np.ndarray(
+        (L, rows) + terms.shape[2:], complex, terms, (L - 1) * step_j,
+        (step_i - step_j, step_j) + terms.strides[2:],
+    )
+    return diagonals.sum(axis=0)
+
+
+def _add_centered(out, stack, op=np.add):
+    """Add (or with np.subtract, subtract) a coefficient stack into a stack
+    of a bound at least as large, aligned on the mean rows; returns out."""
+    edge = (len(out) - len(stack)) // 2
+    rows = out[edge : len(out) - edge]
+    op(rows, stack, out=rows)
+    return out
+
+
+@functools.cache
+def _integration_factors(H: int) -> np.ndarray:
+    """1/(i l) for |l| <= H, and 0 for the mean, read-only."""
+    l = np.arange(-H, H + 1.0)
+    factors = np.divide(-1j, l, out=np.zeros(len(l), dtype=complex), where=l != 0)
+    factors.setflags(write=False)
+    return factors
+
+
+def _integrated(stack):
+    """The zero-mean antiderivative of a stack's oscillating part, p - mean(p),
+    in one product: harmonic l times 1/(i l), the mean row times 0."""
+    factors = _integration_factors(len(stack) // 2)
+    return factors.reshape((-1,) + (1,) * (stack.ndim - 1)) * stack
+
+
 @dataclass(frozen=True, eq=False)
 class TrigPoly:
     """Trigonometric polynomial sum_{|l|<=H} c_l e^{i l tau} with array values.
@@ -125,6 +187,15 @@ class TrigPoly:
         object.__setattr__(self, "data", data)
 
     @classmethod
+    def _of(cls, data: np.ndarray) -> "TrigPoly":
+        """Wrap a complex (2H+1, *shape) stack that the algebra has just made
+        and that nothing else holds, without the constructor's copy."""
+        poly = object.__new__(cls)
+        data.setflags(write=False)
+        object.__setattr__(poly, "data", data)
+        return poly
+
+    @classmethod
     def constant(cls, value) -> "TrigPoly":
         return cls(np.asarray(value, dtype=complex)[None])
 
@@ -135,7 +206,7 @@ class TrigPoly:
         data = np.zeros((2 * H + 1,) + tuple(shape), dtype=complex)
         for l, c in coeffs.items():
             data[H + l] = c
-        return cls(data)
+        return cls._of(data)
 
     @property
     def H(self) -> int:
@@ -197,15 +268,13 @@ class TrigPoly:
 
     def derivative(self) -> "TrigPoly":
         rates = 1j * np.arange(-self.H, self.H + 1)
-        return TrigPoly(self._column(rates) * self.data)
+        return TrigPoly._of(self._column(rates) * self.data)
 
     def antiderivative(self) -> "TrigPoly":
         """Zero-mean antiderivative; defined only for zero-mean polynomials."""
         if np.any(self.mean()):
             raise ValueError("antiderivative needs a zero-mean polynomial")
-        rates = 1j * np.arange(-self.H, self.H + 1)
-        rates[self.H] = 1.0
-        return TrigPoly(self.data / self._column(rates))
+        return TrigPoly._of(_integrated(self.data))
 
     def padded(self, H: int) -> np.ndarray:
         """Coefficient stack widened with zero rows to the bound H >= self.H."""
@@ -213,21 +282,24 @@ class TrigPoly:
         out[H - self.H : H + self.H + 1] = self.data
         return out
 
+    def _combined(self, other, op) -> "TrigPoly":
+        """op(self, other) for np.add or np.subtract, with a polynomial or a
+        constant (an array, taken as the mean row) of the same value shape."""
+        stack = other.data if isinstance(other, TrigPoly) else np.asarray(other)[None]
+        if stack.shape[1:] != self.shape:
+            raise ValueError(
+                f"cannot add or subtract values of shapes {self.shape} and {stack.shape[1:]}"
+            )
+        return TrigPoly._of(_add_centered(self.padded(max(self.H, len(stack) // 2)), stack, op))
+
     def __add__(self, other) -> "TrigPoly":
-        if not isinstance(other, TrigPoly):
-            out = self.data.copy()
-            out[self.H] += other
-            return TrigPoly(out)
-        H = max(self.H, other.H)
-        out = self.padded(H)
-        out[H - other.H : H + other.H + 1] += other.data
-        return TrigPoly(out)
+        return self._combined(other, np.add)
 
     def __sub__(self, other) -> "TrigPoly":
-        return self + (-1.0) * other
+        return self._combined(other, np.subtract)
 
     def __mul__(self, factor) -> "TrigPoly":
-        return TrigPoly(factor * self.data)
+        return TrigPoly._of(factor * self.data)
 
     __rmul__ = __mul__
 
@@ -237,24 +309,14 @@ class TrigPoly:
         if not isinstance(other, TrigPoly):
             other = np.asarray(other)
             _product_shape(self.shape, other.shape)
-            return TrigPoly(_times(self.data, other))
-        a, b = self.data, other.data
-        shape = _product_shape(self.shape, other.shape)
-        out = np.zeros((len(a) + len(b) - 1,) + shape, dtype=complex)
-        # One product per harmonic of the shorter operand, over all
-        # harmonics of the longer one.
-        if len(a) <= len(b):
-            for i, c in enumerate(a):
-                out[i : i + len(b)] += _times_left(c, b)
-        else:
-            for j, c in enumerate(b):
-                out[j : j + len(a)] += _times(a, c)
-        return TrigPoly(out)
+            return TrigPoly._of(_times(self.data, other))
+        _product_shape(self.shape, other.shape)
+        return TrigPoly._of(_convolve(self.data, other.data))
 
     def __rmatmul__(self, other) -> "TrigPoly":
         other = np.asarray(other)
         _product_shape(other.shape, self.shape)
-        return TrigPoly(_times_left(other, self.data))
+        return TrigPoly._of(_times_left(other, self.data))
 
     def mean_of_product(self, other: "TrigPoly") -> np.ndarray:
         """(self @ other).mean(), the sum of c_l @ d_{-l}, from the matching

@@ -213,6 +213,27 @@ def test_argument_validation():
         ode_residual(spec, exp, 5, 100.0)
 
 
+@pytest.mark.parametrize("real_mode", [True, False])
+def test_partial_sum_is_the_sum_of_its_levels(real_mode):
+    # partial_sum evaluates the levels summed into one polynomial; here each
+    # level is evaluated on its own and the values are summed.
+    spec = fixtures.random_admissible(seed=5, n=4, m=2, s=2, real_mode=real_mode)
+    exp = expand(spec, order=4)
+    kernel = exp.kernel_data.kernel
+    omega = 90.0
+    t = np.linspace(0.0, 0.4, 9).reshape(3, 3)
+    for r in range(exp.order + 1):
+        want = omega * (kernel @ exp.leading) + sum(
+            omega ** -k * (lev.mean + kernel @ lev.kernel_coeff + lev.osc(omega * t))
+            for k, lev in enumerate(exp.levels[: r + 1])
+        )
+        if real_mode:
+            want = want.real
+        got = partial_sum(exp, r, omega, t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_partial_sum_shapes():
     spec = fixtures.random_admissible(seed=2, n=3, m=1)
     exp = expand(spec, order=1)

@@ -1,4 +1,5 @@
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -586,6 +587,61 @@ def test_products_of_mismatched_values_name_both_shapes():
             a @ b
     with pytest.raises(ValueError, match=r"\(3, 3\) and \(2,\)"):
         matrix.mean_of_product(vector)
+
+
+def test_products_are_the_per_harmonic_loop_to_the_bit():
+    # With the shorter operand on the left, a product forms the same
+    # per-harmonic terms as a loop over its harmonics and adds them in the
+    # loop's order, so rounding is the loop's: the stability series rest on it.
+    rng = np.random.default_rng(34)
+    for n, H_a, H_b in ((3, 1, 1), (3, 1, 6), (5, 3, 9), (13, 3, 18), (24, 2, 12)):
+        left = _random_poly(rng, (n, n), harmonics=range(-H_a, H_a + 1))
+        for shape in ((n,), (n, n)):
+            right = _random_poly(rng, shape, harmonics=range(-H_b, H_b + 1))
+            a, b = left.data, right.data
+            want = np.zeros((len(a) + len(b) - 1,) + shape, dtype=complex)
+            for i, c in enumerate(a):
+                want[i : i + len(b)] += b @ c.T if len(shape) == 1 else c @ b
+            assert np.array_equal((left @ right).data, want)
+
+
+def test_sums_of_mismatched_values_name_both_shapes():
+    # Broadcasting would add a vector into every row of a matrix.
+    matrix, vector = TrigPoly(np.ones((3, 3, 3))), TrigPoly(np.ones((3, 3)))
+    for a, b in ((matrix, vector), (vector, matrix), (matrix, np.arange(3.0)),
+                 (vector, np.ones((3, 3))), (vector, TrigPoly(np.ones((5, 2))))):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match=r"shapes \(.*\) and \(.*\)"):
+                op(a, b)
+    with pytest.raises(ValueError, match=r"\(3, 3\) and \(3,\)"):
+        matrix + vector
+
+
+def test_construction_copies_and_results_are_read_only():
+    rng = np.random.default_rng(33)
+    # A caller's array, complex already, is copied: changing it later
+    # leaves the polynomial as it was.
+    arr = rng.standard_normal((3, 2)) + 0j
+    poly = TrigPoly(arr)
+    arr[1, 0] = 99.0
+    assert poly.data[1, 0] != 99.0
+    value = np.ones(2)
+    constant = TrigPoly.constant(value)
+    value[0] = 5.0
+    assert constant.data[0, 0] == 1.0
+    matrix, vector = _random_poly(rng, (2, 2)), _random_poly(rng, (2,))
+    wide = TrigPoly(rng.standard_normal((7, 2)) + 0j)
+    results = [
+        vector + vector, vector + wide, wide + vector, vector + np.ones(2),
+        vector - wide, vector - np.ones(2), 2.0 * vector, vector * 2.0,
+        matrix @ vector, matrix @ wide, matrix @ matrix, matrix @ np.eye(2),
+        np.eye(2) @ matrix, vector.derivative(), (vector - vector.mean()).antiderivative(),
+        (matrix - matrix.mean()).antiderivative(),
+    ]
+    for result in results:
+        assert not result.data.flags.writeable
+        with pytest.raises(ValueError):
+            result.data[0] = 0.0
 
 
 def _naive_product(a, b, H_a, H_b):
