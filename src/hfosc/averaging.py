@@ -150,12 +150,11 @@ def kb_transform(spec: ProblemSpec, trunc: int):
     Raises NonFiniteError when an order overflows."""
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
-    stationary = spec.osc_matrix() + spec.A0
     U = [TrigPoly.constant(np.eye(spec.n))]
     A_list = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(trunc + 1):
-            G = stationary @ U[k]
+            G = spec.matrix @ U[k]
             if k >= 1:
                 G = G + spec.B0 @ U[k - 1]
             for j in range(1, k + 1):

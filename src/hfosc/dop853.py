@@ -36,7 +36,7 @@ interpreter, not arithmetic, bounds the cost of a step at these sizes.
 Every stage is linear in the state, so the steps of the block, contracted
 with z = [x0; 1], are the steps of the trajectory Y(t) z from x0, which
 solves y' = M y + f.  The dense output is formed that way: the run keeps
-the stages the interpolant reads and the field, and ``StepRecord.along(z)``
+the stages the interpolant reads and the field, and ``Trajectory.along(z)``
 contracts the stages before it forms the three extra stages with
 ``field.apply``, at the cost of one trajectory.
 
@@ -315,26 +315,29 @@ class DenseOutput:
 
 
 @dataclass(frozen=True, eq=False)
-class StepRecord:
-    """What a run keeps for its dense output: the step boundaries ``t``, the
-    blocks ``y`` there, the ``stages`` of each step that the interpolant
-    reads (0 and 5..12), and the run's ``field``.  Lists, not stacked
-    arrays: stacking would copy the whole history."""
+class Trajectory:
+    """Result of ``solve``: the accepted step boundaries ``t``, the block
+    ``y`` = [Phi | v] at the last of them and the run's ``field``.  A dense
+    run also keeps what ``along`` reads, the ``blocks`` at every boundary and
+    the ``stages`` of each step that the interpolant reads (0 and 5..12);
+    other runs keep neither.  Lists, not stacked arrays: stacking would copy
+    the whole history."""
 
     t: np.ndarray
-    y: list
-    stages: list
+    y: np.ndarray
     field: Sampler
+    blocks: list | None = None
+    stages: list | None = None
 
     def along(self, z) -> DenseOutput:
         """The interpolant of the trajectory Y(t) z on this run's steps, for
         z = [x0; 1]: ``field.apply`` adds the forcing with weight 1, as the
-        trajectory y' = M y + f from x0 has it.
+        trajectory y' = M y + f from x0 has it.  Needs a dense run.
 
         The kept stages are contracted with z first, so the extra stages and
         the coefficients are formed for one vector per step."""
         z = np.asarray(z)
-        y = np.stack([Y @ z for Y in self.y])
+        y = np.stack([Y @ z for Y in self.blocks])
         h = np.diff(self.t)
         K = np.zeros((len(h), len(C), y.shape[1]), dtype=np.result_type(y, self.field.coeffs))
         K[:, _KEPT] = np.stack([k @ z for k in self.stages])
@@ -350,17 +353,6 @@ class StepRecord:
         coeffs[:, 2] = 2 * dy - hv * (f_new + f_old)
         coeffs[:, 3:] = h[:, None, None] * (D @ K)
         return DenseOutput(t=self.t, y=y, coeffs=coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Result of ``solve``: the accepted step boundaries ``t``, the block
-    ``y`` = [Phi | v] at the last of them, and the step record for dense output when it
-    was asked for."""
-
-    t: np.ndarray
-    y: np.ndarray
-    dense: StepRecord | None
 
 
 def _initial_step(field, y0, f0, t1, max_step, tol) -> float:
@@ -388,9 +380,10 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float,
 
     ``field`` is the ``Sampler`` of [M | f], of shape (n, n + 1), in time:
     ``ProblemSpec.field_map(omega, omega)``.  The block takes the dtype of
-    the field's coefficients.  ``dense`` asks for a ``StepRecord``.  Raises
-    StepFailure when the step size falls below 10 floating-point spacings at
-    the current time, or when MAX_STEPS steps fall short of t1.
+    the field's coefficients.  ``dense`` keeps the history that
+    ``Trajectory.along`` reads.  Raises StepFailure when the step size falls
+    below 10 floating-point spacings at the current time, or when MAX_STEPS
+    steps fall short of t1.
     """
     n = field.shape[0]
     dtype = np.result_type(float, field.coeffs)
@@ -485,6 +478,6 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float,
                 ks.append(Z[_KEPT_ROWS])
             Z[0] = X
             Z[1] = Z[STAGES + 1]
-    t_grid = np.array(ts)
-    record = StepRecord(t=t_grid, y=ys, stages=ks, field=field) if dense else None
-    return Trajectory(t_grid, Z[0].copy(), record)
+    if not dense:
+        ys = ks = None
+    return Trajectory(np.array(ts), Z[0].copy(), field, ys, ks)

@@ -25,6 +25,8 @@ fixed by the mean equation that beta_p feeds.  Sweep p >= 1 then reads
     y_p     = beta_p + D^{-1}(B_osc v_{p-1}),
 
 starting from theta_0 = d_0, y_{-1} = 0 and y_0 = D^{-1}(B_osc v_{-1}).
+M is the spec's ``matrix``, B_osc = M - A0, and d its ``forcing``, with
+d_0 = ``forcing.mean()``.
 The mean equation is solvable exactly when its projection on ker(A0^H)
 vanishes; that fixes C_{p-1} through the solvability matrix, after which
 x_p = -W (A1 v_{p-1} + theta_p).  So each sweep closes level p-1 and opens
@@ -115,11 +117,12 @@ def expand(
 
     Each sweep makes three coefficient stacks: g = M (y_{p-1} + x_{p-1}) +
     B0 y_{p-2} (+ d at p = 1), one polynomial product with the constant
-    terms added into it; beta_p = D^{-1} osc[g], one product with the integration
-    factors; and y_p, beta_p with (D^{-1} B_osc) v_{p-1} added.  theta_p's
-    mean(B_osc beta_p) is ``B_osc.mean_of_product(beta_p)``: the sum of
-    B_l beta_{p,-l} over the harmonics |l| <= m alone, without the product's
-    other harmonics, which nothing reads.  Z^H, the solvability solve
+    terms added into it, widened at p = 1 to the harmonics of d, which may
+    pass the product's 2 H_B; beta_p = D^{-1} osc[g], one product with the
+    integration factors; and y_p, beta_p with (D^{-1} B_osc) v_{p-1} added.
+    theta_p's mean(B_osc beta_p) is ``B_osc.mean_of_product(beta_p)``: the
+    sum of B_l beta_{p,-l} over the harmonics |l| <= m alone, without the
+    product's other harmonics, which nothing reads.  Z^H, the solvability solve
     against it and -W are formed once, so closing a level takes five
     matrix-vector products."""
     if order < 0:
@@ -130,11 +133,10 @@ def expand(
     # C = -S^{-1} Z^H theta and x = -W g, as matrices.
     to_coeff = np.linalg.solve(kd.solvability, -left_h)
     minus_W = -kd.restricted_inverse
-    B_osc = spec.osc_matrix()
+    M, forcing = spec.matrix.data, spec.forcing.data
+    B_osc = spec.matrix - spec.A0
     # d^-1(B_osc v) = (d^-1 B_osc) v for a constant v.
     B_int = B_osc.antiderivative().data
-    M = (B_osc + spec.A0).data
-    forcing = spec.forcing_poly().data
 
     def close_level(theta):
         """Solve the mean equation: C from solvability, then the x part."""
@@ -148,7 +150,7 @@ def expand(
     # Overflow is checked once per level, on g (which every earlier
     # quantity feeds) and the harmonic mass, and last on the final level.
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = spec.d0.astype(complex)
+        theta = spec.forcing.mean()
         leading, v, x, lead_defect = close_level(theta)
         beta = y_prev = TrigPoly.constant(np.zeros(spec.n))
         y = TrigPoly._of(_times(B_int, v))
@@ -158,7 +160,9 @@ def expand(
             yx[y.H] += x
             g = _add_centered(_convolve(M, yx), _times_left(spec.B0, y_prev.data))
             if p == 1:
-                _add_centered(g, forcing)
+                # d may reach past the bound 2 H_B of g: add into the longer.
+                big, small = (g, forcing) if len(g) >= len(forcing) else (forcing.copy(), g)
+                g = _add_centered(big, small)
             mass = float(np.sum(safe_norm(beta.data)))
             check_finite(f"order {p} of the expansion", g, mass)
             beta_p = TrigPoly._of(_integrated(g))
@@ -216,16 +220,18 @@ def partial_sum(exp: AsymptoticExpansion, r: int, omega, t) -> np.ndarray:
 
     The last axis of the result is the state dimension; leading axes follow
     the shape of t.  The levels are summed into one polynomial first, which
-    is then evaluated once.  A real system's sum is real: its float64 real
-    part.  Raises NonFiniteError when the sum overflows, as it does for
-    omega near the ends of the floating-point range.
+    is then evaluated once.  A real system's sum is real, and is evaluated
+    in real arithmetic to float64, as ``ProblemSpec.field_map`` evaluates
+    its field.  Raises NonFiniteError when the sum overflows, as it does
+    for omega near the ends of the floating-point range.
     """
     _check_order(exp, r)
     omega = np.float64(omega)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _summed(exp, r, omega)(omega * np.asarray(t, dtype=float))
+        total = _summed(exp, r, omega).sampler(real=exp.real_mode)
+        out = total(omega * np.asarray(t, dtype=float))
     check_finite(f"the order-{r} partial sum at omega={float(omega):g}", out)
-    return out.real.copy() if exp.real_mode else out
+    return out
 
 
 def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> float:
@@ -234,7 +240,8 @@ def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> 
     The time derivative is taken analytically (only the oscillating parts
     move), so this measures the construction, not a difference scheme.  The
     sum is the one polynomial of ``partial_sum``, and its time derivative is
-    omega times its phase derivative.  The right side is the field's
+    omega times its phase derivative, both evaluated like ``partial_sum``:
+    in real arithmetic for a real system.  The right side is the field's
     ``Sampler.apply`` at the sampled sum, so no field grid is formed.
     Scales like omega^{-r} when every matched order truly cancels.  The
     defect is sampled at 256 phases over one period.
@@ -244,10 +251,8 @@ def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> 
     omega = np.float64(omega)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _summed(exp, r, omega)
-        S = total(taus)
-        dS = omega * total.derivative()(taus)
+        S = total.sampler(real=exp.real_mode)(taus)
+        dS = omega * total.derivative().sampler(real=exp.real_mode)(taus)
     check_finite(f"the order-{r} partial sum at omega={float(omega):g}", S)
-    if exp.real_mode:
-        S = S.real
     rhs = spec.field_map(omega).apply(taus, S[..., None])[..., 0]
     return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

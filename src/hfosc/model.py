@@ -7,13 +7,16 @@ A problem is the linear system
 
 described by a JSON-style document.  Everything downstream (spectral data,
 expansions, bounds, averaging, the reference integrator) consumes the
-``ProblemSpec`` built here.
+``ProblemSpec`` built here, whose constructor also builds the system's two
+trigonometric polynomials once: ``spec.matrix``, M(tau) = A0 + sum B_l
+e^{i l tau}, and ``spec.forcing``, f(tau) = sum d_l e^{i l tau}.
 
 Every trigonometric polynomial, the system's coefficients as well as the
 terms of the expansion, is evaluated in one basis, cos(l tau) and sin(l tau)
 written as shifted cosines (``Sampler``).  It is exact for complex
 coefficients, and a real system's coefficients are real in it, so a real
-system is evaluated in real arithmetic.
+system is evaluated in real arithmetic: its field (``field_map``) as well as
+the partial sums of its expansion.
 """
 
 from __future__ import annotations
@@ -251,13 +254,9 @@ class TrigPoly:
             coeffs[0] += np.reshape(offset, -1)
         return Sampler(rate * k, shifts, coeffs, self.shape)
 
-    @cached_property
-    def _values(self) -> "Sampler":
-        return self.sampler()
-
     def __call__(self, tau):
         """Evaluate at phase(s) tau; the value axes follow the axes of tau."""
-        return self._values(tau)
+        return self.sampler()(tau)
 
     def mean(self) -> np.ndarray:
         return self.data[self.H]
@@ -401,6 +400,10 @@ class ProblemSpec:
     ``d`` maps harmonic indices (0 allowed) to forcing vectors.  Exact-zero
     coefficients are dropped on construction, so two specs describing the
     same system have the same canonical document, which ``==`` compares.
+    The constructor also builds the system's two polynomials once:
+    ``matrix`` is M(tau) = A0 + sum B_l e^{i l tau} and ``forcing`` is
+    f(tau) = sum d_l e^{i l tau}, so B_osc is ``matrix - A0`` and d_0 is
+    ``forcing.mean()``.
     """
 
     n: int
@@ -410,7 +413,9 @@ class ProblemSpec:
     B: dict = dataclasses.field(default_factory=dict)
     d: dict = dataclasses.field(default_factory=dict)
     real_mode: bool = True
-    # [A0 + sum B_l e^{i l tau} | sum d_l e^{i l tau}], shape (n, n + 1)
+    matrix: TrigPoly = dataclasses.field(init=False, repr=False)
+    forcing: TrigPoly = dataclasses.field(init=False, repr=False)
+    # [matrix | forcing], shape (n, n + 1)
     _stack: TrigPoly = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
@@ -433,24 +438,10 @@ class ProblemSpec:
         forcing = TrigPoly.from_coeffs(d, (n,))
         H = max(matrix.H, forcing.H)
         stack = np.concatenate([matrix.padded(H), forcing.padded(H)[..., None]], -1)
-        checked = dict(n=n, m=m, A0=A0, B0=B0, B=B, d=d)
-        for name, value in checked.items():
+        built = dict(n=n, m=m, A0=A0, B0=B0, B=B, d=d, matrix=matrix, forcing=forcing)
+        for name, value in built.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_stack", TrigPoly(stack))
-
-    # -- convenience views ------------------------------------------------
-
-    @property
-    def d0(self) -> np.ndarray:
-        return self.d.get(0, np.zeros(self.n, dtype=complex))
-
-    def osc_matrix(self) -> TrigPoly:
-        """The oscillating part sum_{l != 0} B_l e^{i l tau}."""
-        return TrigPoly.from_coeffs(self.B, (self.n, self.n))
-
-    def forcing_poly(self) -> TrigPoly:
-        """The full forcing d_0 + sum_{l != 0} d_l e^{i l tau}."""
-        return TrigPoly(self._stack.data[..., self.n])
+        object.__setattr__(self, "_stack", TrigPoly._of(stack))
 
     @cached_property
     def _B0_stack(self) -> np.ndarray:

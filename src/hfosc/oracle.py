@@ -17,7 +17,7 @@ B0/omega folded in once per frequency: the field grid on the stage times of
 each attempted step, and ``Sampler.apply`` for every other right side.  A
 real system is integrated in float64 throughout.  That one pass per
 frequency gives the period map, x0, and the periodic solution, read from
-the block's dense output contracted with z = [x0; 1].
+the block's dense output contracted with z = [x0; 1] (``Trajectory.along``).
 Runge-Kutta steps are linear in the state, so that is the trajectory from
 x0 on the block's own steps.  The same map's ``apply`` gives the right side
 at states on arrays of times, which is how the integral-form defect of the
@@ -117,7 +117,7 @@ class PeriodicOracleSolution:
 def _fixed_point(field, T):
     """Phi, x0, sigma_min(I - Phi) and the interpolant of the periodic
     solution, all from one period pass with ``field``.  The pass's step
-    record is dropped on return, before the caller's defect quadrature."""
+    history is dropped on return, before the caller's defect quadrature."""
     n = field.shape[0]
     traj = _period_pass(field, T, dense=True)
     Phi, forced = traj.y[:, :n], traj.y[:, n]
@@ -130,7 +130,7 @@ def _fixed_point(field, T):
             f"the periodic solution is not unique"
         )
     x0 = np.linalg.solve(gap, forced)
-    return Phi, x0, unique_margin, traj.dense.along(np.append(x0, 1.0))
+    return Phi, x0, unique_margin, traj.along(np.append(x0, 1.0))
 
 
 def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> PeriodicOracleSolution:

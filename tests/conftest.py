@@ -1,4 +1,14 @@
-import pytest
+import os
+import sys
+
+# One BLAS thread, as the benchmark runs: the timing bounds of some tests
+# assume no second thread waits for a busy core.  BLAS reads these once,
+# when numpy is first imported, so that must not have happened yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+
+import pytest  # noqa: E402
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # survive pytest's output capture.

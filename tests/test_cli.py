@@ -10,7 +10,7 @@ import pytest
 
 from hfosc import fixtures
 from hfosc.averaging import DEFAULT_TRUNC, ZERO_TOL
-from hfosc.cli import main
+from hfosc.cli import MAX_SAMPLES, main
 from hfosc.model import ProblemSpec, serialize_problem
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -371,6 +371,35 @@ def test_out_of_range_arguments_exit_one(argv):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10**20])
+def test_samples_past_the_bound_exit_one_before_any_work(samples, monkeypatch, capsys):
+    monkeypatch.setattr("hfosc.cli.load_problem", None)
+    path = str(FIXTURES / "random_n3_m1.json")
+    assert main(["evaluate", path, "--samples", str(samples)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --samples: must be at most {MAX_SAMPLES}, got {samples}\n"
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 EiB for an array", ""])
+def test_memory_error_exits_one(message, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("hfosc.cli.partial_sum", exhausted)
+    assert main(["evaluate", str(FIXTURES / "random_n3_m1.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'out of memory'}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["expand", "evaluate", "slope", "validate"])
+@pytest.mark.parametrize("name", ["forcing_only", "forcing_past_matrix"])
+def test_forcing_past_the_first_product_runs(name, command, capsys):
+    # Forcing harmonics past twice those of B (none, or past 2 for B at +-1).
+    assert main([command, str(FIXTURES / f"{name}.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_import_leaves_out_the_integrator():

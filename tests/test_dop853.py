@@ -128,7 +128,7 @@ def test_one_field_call_per_attempted_step():
     assert set(log[2:]) == {("field", (dop853.STAGES,))}
     # The three extra stages of every step, one right side each.
     del log[:]
-    traj.dense.along(np.append(np.ones(4), 1.0))
+    traj.along(np.append(np.ones(4), 1.0))
     assert log == [("apply", (len(traj.t) - 1,))] * 3
 
 
@@ -160,7 +160,7 @@ def test_block_contracted_with_z_is_the_trajectory_from_its_start():
     block = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL,
                          max_step=T / 16, dense=True)
     t = np.linspace(0.0, T, 50)
-    along = block.dense.along(np.append(x0, 1.0))
+    along = block.along(np.append(x0, 1.0))
     assert along(t).dtype == np.float64
     assert _rel(along(t), _reference(spec, omega, x0, T, dense=True).sol(t).T) < 1e-11
     assert np.allclose(along(T), block.y @ np.append(x0, 1.0), rtol=0, atol=1e-14)

@@ -12,7 +12,10 @@ from hfosc.cli import DEFECT_TOL, solvability_defect
 from hfosc.errors import NonFiniteError
 from hfosc.expansion import expand, ode_residual, partial_sum, safe_norm
 from hfosc.model import ProblemSpec, load_problem
+from hfosc.oracle import periodic_solution
 from hfosc.spectral import compute_kernel_data
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _kernel_vectors(exp):
@@ -43,13 +46,13 @@ def test_constant_coefficient_case_matches_neumann_recursion():
     vs = _kernel_vectors(exp)
     u = [vs[0]] + [lev.mean + vs[k + 1] for k, lev in enumerate(exp.levels)]
     assert np.allclose(spec.A0 @ u[0], 0.0, atol=1e-13)
-    assert np.allclose(spec.A0 @ u[1] + spec.B0 @ u[0] + spec.d0, 0.0, atol=1e-12)
+    assert np.allclose(spec.A0 @ u[1] + spec.B0 @ u[0] + spec.forcing.mean(), 0.0, atol=1e-12)
     for k in range(1, len(u) - 1):
         assert np.allclose(spec.A0 @ u[k + 1] + spec.B0 @ u[k], 0.0, atol=1e-11)
     # For this fixture the series terminates: already the order-0 sum equals
     # the exact equilibrium (the higher identities hold with zeros).
     omega = 200.0
-    exact = -np.linalg.solve(spec.A0 + spec.B0 / omega, spec.d0.astype(complex))
+    exact = -np.linalg.solve(spec.A0 + spec.B0 / omega, spec.forcing.mean())
     err0 = np.linalg.norm(partial_sum(exp, 0, omega, 0.0) - exact)
     assert err0 < 1e-10 * np.linalg.norm(exact)
     for lev in exp.levels[1:]:
@@ -63,7 +66,7 @@ def test_partial_sums_approach_exact_equilibrium():
     spec = fixtures.random_admissible(seed=1, n=3, m=0)
     exp = expand(spec, order=4)
     omega = 200.0
-    exact = -np.linalg.solve(spec.A0 + spec.B0 / omega, spec.d0.astype(complex))
+    exact = -np.linalg.solve(spec.A0 + spec.B0 / omega, spec.forcing.mean())
     err = [float(np.linalg.norm(partial_sum(exp, r, omega, 0.0) - exact))
            for r in (0, 2, 4)]
     assert err[0] > err[1] > err[2]
@@ -135,7 +138,7 @@ def test_structural_invariants():
                 if Bm is not None:
                     theta = theta + Bm @ b
             assert np.allclose(lev.forcing, theta, atol=1e-11)
-        assert np.allclose(exp.levels[0].forcing, spec.d0, atol=0.0)
+        assert np.allclose(exp.levels[0].forcing, spec.forcing.mean(), atol=0.0)
 
 
 def test_real_systems_have_real_partial_sums():
@@ -146,13 +149,55 @@ def test_real_systems_have_real_partial_sums():
     assert S.dtype == np.float64
     # The real part of a sum whose imaginary part is rounding.
     complex_sum = partial_sum(dataclasses.replace(exp, real_mode=False), 3, 120.0, t)
-    assert np.array_equal(S, complex_sum.real)
+    assert np.max(np.abs(S - complex_sum.real)) <= 1e-15 * np.max(np.abs(S))
     assert float(np.max(np.abs(complex_sum.imag))) < 1e-9 * float(np.max(np.abs(S)))
     for lev in exp.levels:
         for l in lev.osc.coeffs:
             assert np.allclose(
                 lev.osc.coeffs[l], np.conj(lev.osc.coeffs[-l]), atol=1e-12
             )
+
+
+@pytest.mark.parametrize("seed, n, m", [(1, 3, 2), (2, 10, 4), (3, 24, 1), (1, 6, 0)])
+def test_real_sums_and_residuals_match_the_complex_evaluation(seed, n, m):
+    # A real system's sum and residual are evaluated in real arithmetic.
+    # The same levels taken as a complex system's are evaluated in complex
+    # arithmetic, and stay complex.
+    spec = fixtures.random_admissible(seed=seed, n=n, m=m)
+    exp = expand(spec, order=4)
+    as_complex = dataclasses.replace(exp, real_mode=False)
+    omega = 80.0
+    t = np.linspace(0.0, 2 * np.pi / omega, 33)
+    for r in (0, 4):
+        S, want = partial_sum(exp, r, omega, t), partial_sum(as_complex, r, omega, t)
+        assert S.dtype == np.float64 and want.dtype == np.complex128
+        size = float(np.max(np.abs(want)))
+        assert np.max(np.abs(S - want.real)) <= 1e-15 * size
+        # The residual is a difference of terms of size omega |S|.
+        gap = ode_residual(spec, exp, r, omega) - ode_residual(spec, as_complex, r, omega)
+        assert abs(gap) <= 1e-15 * omega * size
+
+
+@pytest.mark.parametrize("name", ["forcing_only", "forcing_past_matrix"])
+def test_forcing_past_the_first_product_expands(name):
+    # The first sweep adds d to g = M (y_0 + x_0), whose harmonics reach
+    # 2 H_B; these documents force harmonics past that bound.
+    spec = load_problem(FIXTURES / f"{name}.json")
+    exp = expand(spec, order=4)
+    assert solvability_defect(exp) < DEFECT_TOL
+    H_B = max(map(abs, spec.B), default=0)
+    past = [l for l in spec.d if abs(l) > 2 * H_B]
+    assert past
+    for l in past:
+        # Nothing else reaches harmonic l at level 1: y_1 has d_l / (i l).
+        want = spec.d[l] / (1j * l)
+        assert np.allclose(exp.levels[1].osc.coeffs[l], want, rtol=1e-15, atol=0)
+    # The partial sums converge to the reference solution at their order.
+    omegas = (100.0, 200.0)
+    solutions = [periodic_solution(spec, w) for w in omegas]
+    for r in (0, 1, 2):
+        err = [np.max(np.abs(partial_sum(exp, r, w, ps.t) - ps.x)) for w, ps in zip(omegas, solutions)]
+        assert abs(np.log2(err[0] / err[1]) - (r + 1)) < 0.3, (r, err)
 
 
 def test_prefix_consistency():
@@ -275,7 +320,7 @@ def test_large_finite_coefficients_keep_finite_masses():
     # Past order 247 this expansion's beta coefficients exceed 1e154, whose
     # squares overflow; the masses and norms must stay finite until the
     # coefficients themselves overflow (order 489).
-    spec = load_problem(pathlib.Path(__file__).resolve().parent.parent / "fixtures/random_n3_m1.json")
+    spec = load_problem(FIXTURES / "random_n3_m1.json")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exp = expand(spec, 300)

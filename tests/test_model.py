@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import operator
 
@@ -339,6 +340,24 @@ def test_spec_arrays_are_read_only():
         spec.A0[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("real_mode", [True, False])
+@pytest.mark.parametrize("m", [0, 3])
+def test_spec_keeps_its_polynomials_read_only(real_mode, m):
+    spec = fixtures.random_admissible(seed=4, n=4, m=m, real_mode=real_mode)
+    matrix = TrigPoly.from_coeffs({**spec.B, 0: spec.A0}, (4, 4))
+    forcing = TrigPoly.from_coeffs(spec.d, (4,))
+    for got, want in ((spec.matrix, matrix), (spec.forcing, forcing)):
+        assert np.array_equal(got.data, want.data)
+        assert not got.data.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.matrix = matrix
+    # B_osc = M - A0 has the bound of M and an exactly zero mean row.
+    osc = spec.matrix - spec.A0
+    assert osc.H == m and not np.any(osc.mean())
+    assert osc == TrigPoly.from_coeffs(spec.B, (4, 4))
+    assert np.array_equal(spec.forcing.mean(), spec.d[0])
+
+
 # -- trig polynomials -------------------------------------------------------
 
 
@@ -481,7 +500,7 @@ def test_system_matrix_and_forcing():
     assert np.array_equal(spec.system_matrix(tau, omega), F[:, :3])
     unforced = fixtures.borderline_stable()
     assert np.array_equal(unforced.field_map(omega)(tau)[:, 3], np.zeros(3))
-    assert np.array_equal(unforced.d0, np.zeros(3))
+    assert np.array_equal(unforced.forcing.mean(), np.zeros(3))
 
 
 def test_system_matrix_and_forcing_accept_phase_arrays():

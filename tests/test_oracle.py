@@ -66,7 +66,7 @@ def test_one_right_side_for_trajectories_and_blocks():
 
     def direct(t, Y):
         out = spec.system_matrix(omega * t, omega) @ Y
-        out[:, -1] += spec.forcing_poly()(omega * t)
+        out[:, -1] += spec.forcing(omega * t)
         return out
 
     # The period-map block [Phi | forced response] at one time ...
@@ -95,7 +95,7 @@ def test_contracted_rhs_equals_the_field_times_the_states(real_mode, k):
     t = rng.uniform(0.0, 2 * np.pi / omega, size=(4, 10))
     Y = rng.standard_normal((4, 10, spec.n, cols)) + 1j * rng.standard_normal((4, 10, spec.n, cols))
     want = spec.system_matrix(omega * t, omega) @ Y
-    want[..., -1] += spec.forcing_poly()(omega * t)
+    want[..., -1] += spec.forcing(omega * t)
     got = spec.field_map(omega, omega).apply(t, Y)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -122,10 +122,10 @@ def test_integrate_matches_variation_of_constants():
     E = expm(M * T)
     got = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16).y
     assert np.max(np.abs(got[:, :3] - E)) < 1e-14
-    forced = np.linalg.solve(M, (E - np.eye(3)) @ spec.d0)
+    forced = np.linalg.solve(M, (E - np.eye(3)) @ spec.forcing.mean())
     assert np.max(np.abs(got[:, 3] - forced)) < 1e-14 * np.max(np.abs(forced))
     ps = periodic_solution(spec, omega)
-    equilibrium = -np.linalg.solve(M, spec.d0)
+    equilibrium = -np.linalg.solve(M, spec.forcing.mean())
     assert np.max(np.abs(ps.x - equilibrium)) < 1e-12 * np.max(np.abs(equilibrium))
 
 
