@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_finite
 from .expansion import AsymptoticExpansion, safe_norm
 from .model import ProblemSpec
 from .spectral import KernelData, compute_kernel_data
@@ -40,11 +41,15 @@ GROWTH_SLACK = 1e-9
 NORM_SLACK = 1e-12
 
 
+def _spectral_norms(*blocks) -> np.ndarray:
+    """2-norms of equally shaped matrices, from one batched SVD."""
+    return np.linalg.svd(np.stack(blocks), compute_uv=False)[:, 0]
+
+
 def _block_norms(spec: ProblemSpec):
-    norms = [np.linalg.norm(spec.A0, 2), np.linalg.norm(spec.B0, 2)]
-    norms += [np.linalg.norm(M, 2) for M in spec.B.values()]
-    norms += [float(np.linalg.norm(v)) for v in spec.d.values()]
-    return norms
+    """2-norms of A0, B0 and the B_l, then Euclidean norms of the d_l."""
+    norms = list(_spectral_norms(spec.A0, spec.B0, *spec.B.values()))
+    return norms + [float(np.linalg.norm(v)) for v in spec.d.values()]
 
 
 def normalize(spec: ProblemSpec) -> tuple[ProblemSpec, float]:
@@ -54,9 +59,11 @@ def normalize(spec: ProblemSpec) -> tuple[ProblemSpec, float]:
     omega' = omega / scale, with A0' = A0/scale, B_l' = B_l/scale,
     d_l' = d_l/scale and B0' = B0/scale^2 (B0 rides at order 1/omega, so it
     picks up the scale twice).  x'(t') = x(t'/scale) solves the primed
-    system exactly: no approximation is involved.
+    system exactly: no approximation is involved.  Raises NonFiniteError
+    when a block norm, and with it the scale, overflows.
     """
     scale = max(1.0, float(max(_block_norms(spec))))
+    check_finite("the normalization scale", scale)
     if scale == 1.0:
         return spec, 1.0
     prime = ProblemSpec(
@@ -97,8 +104,7 @@ def constants(
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
     s = kd.dim
     inv_inf = float(np.linalg.norm(np.linalg.inv(kd.solvability), np.inf))
-    W_norm = float(np.linalg.norm(kd.restricted_inverse, 2))
-    A1_norm = float(np.linalg.norm(kd.averaged, 2))
+    W_norm, A1_norm = map(float, _spectral_norms(kd.restricted_inverse, kd.averaged))
     L = max(W_norm * (1.0 + A1_norm * s * inv_inf), s * inv_inf)
     K = 2.0 * spec.m + 2.0
     return ConvergenceConstants(K=K, L=L, omega0=K * (K * L + 1.0))
@@ -145,7 +151,7 @@ def check_growth(
         raise ValueError(f"p_max must be in [0, {exp.order}], got {p_max}")
     K, L, m = cc.K, cc.L, exp.m
     levels = exp.levels[: p_max + 1]
-    theta = np.array([float(safe_norm(lev.forcing)) for lev in levels])
+    theta = safe_norm([lev.forcing for lev in levels])
     mu = np.array([lev.harmonic_mass for lev in levels])
     phi = np.empty(p_max + 1)
     phi[0] = 2.0 * m

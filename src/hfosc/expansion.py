@@ -32,8 +32,9 @@ vanishes; that fixes C_{p-1} through the solvability matrix, after which
 x_p = -W (A1 v_{p-1} + theta_p).  So each sweep closes level p-1 and opens
 level p.
 
-Every step is arithmetic on ``TrigPoly`` coefficient stacks, three new
-stacks per sweep (see ``expand``).  The arrays of level p hold the
+Every step is arithmetic on raw coefficient stacks, the arrays of the
+``TrigPoly`` algebra, three new stacks per sweep; the levels are wrapped
+once the sweeps are done (see ``expand``).  The arrays of level p hold the
 harmonics |l| <= (p+1) m at most, a bound set by p and the data and never
 by the requested order, so a longer expansion repeats a shorter one bit for
 bit.
@@ -41,6 +42,7 @@ bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,8 @@ from .model import (
     _add_centered,
     _convolve,
     _integrated,
+    _mean_of_product,
+    _side_by_side,
     _times,
     _times_left,
 )
@@ -60,12 +64,13 @@ from .spectral import KernelData, compute_kernel_data
 
 def safe_norm(a) -> np.ndarray:
     """Euclidean norms along the last axis that square no entry above 1:
-    the entries are first divided by a power of two near the largest of
-    them, which is exact, so a norm is finite wherever it is representable
-    (plain squares overflow from about 1e154)."""
+    each vector is first divided by a power of two near its largest entry,
+    which is exact, so a norm is finite wherever it is representable (plain
+    squares overflow from about 1e154)."""
     parts = np.ascontiguousarray(a, dtype=complex).view(float)
-    _, e = np.frexp(np.max(np.abs(parts)))
-    return np.ldexp(np.linalg.norm(np.ldexp(parts, -e), axis=-1), e)
+    _, e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
+    scaled = np.ldexp(parts, -e)
+    return np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=-1)), e[..., 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,80 +120,102 @@ def expand(
 ) -> AsymptoticExpansion:
     """Run the recursion through order + 1 sweeps and return levels 0..order.
 
-    Each sweep makes three coefficient stacks: g = M (y_{p-1} + x_{p-1}) +
-    B0 y_{p-2} (+ d at p = 1), one polynomial product with the constant
-    terms added into it, widened at p = 1 to the harmonics of d, which may
-    pass the product's 2 H_B; beta_p = D^{-1} osc[g], one product with the
-    integration factors; and y_p, beta_p with (D^{-1} B_osc) v_{p-1} added.
-    theta_p's mean(B_osc beta_p) is ``B_osc.mean_of_product(beta_p)``: the
-    sum of B_l beta_{p,-l} over the harmonics |l| <= m alone, without the
-    product's other harmonics, which nothing reads.  Z^H, the solvability solve
-    against it and -W are formed once, so closing a level takes five
-    matrix-vector products."""
+    The sweeps work on raw coefficient stacks; the levels are wrapped once
+    the recursion is done.  Sweep p forms g = M (y_{p-1} + x_{p-1}) + B0
+    y_{p-2} (+ d at p = 1), one polynomial product with the constant terms
+    added into it, widened at p = 1 to the harmonics of d, which may pass
+    the product's 2 H_B; then beta_p = D^{-1} osc[g], one product with the
+    integration factors.  theta_p's mean(B_osc beta_p) is one product of
+    B_osc's harmonics, laid side by side once for all sweeps, with the
+    harmonics |l| <= m of beta_p stacked; the product's other harmonics are
+    never formed.  Z^H, the solvability solve against it and -W are formed
+    once, so closing a level takes four matrix-vector products; the
+    defects |Z^H g| of all closed equations are one batched product after
+    the sweeps, and the harmonic masses one ``safe_norm`` call.  The level
+    opened last, y_p, is beta_p with (D^{-1} B_osc) v_{p-1} added.  Sweep
+    0 only closes the leading level, for theta_0 = d_0."""
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
-    kernel = kd.kernel
+    kernel, A1, B0 = kd.kernel, kd.averaged, spec.B0
     left_h = kd.left_kernel.conj().T
     # C = -S^{-1} Z^H theta and x = -W g, as matrices.
     to_coeff = np.linalg.solve(kd.solvability, -left_h)
     minus_W = -kd.restricted_inverse
     M, forcing = spec.matrix.data, spec.forcing.data
     B_osc = spec.matrix - spec.A0
+    side = _side_by_side(B_osc.data, B_osc.H)
     # d^-1(B_osc v) = (d^-1 B_osc) v for a constant v.
     B_int = B_osc.antiderivative().data
 
-    def close_level(theta):
-        """Solve the mean equation: C from solvability, then the x part."""
-        coeff = to_coeff @ theta
-        v = kernel @ coeff
-        g = kd.averaged @ v + theta
-        defect = float(np.max(np.abs(left_h @ g)))
-        return coeff, v, minus_W @ g, defect
-
-    levels = []
-    # Overflow is checked once per level, on g (which every earlier
-    # quantity feeds) and the harmonic mass, and last on the final level.
+    # Level k is (x_k, C_k, y_k, beta_k, theta_k, its defect); sweep p closes
+    # C and the defect of level p - 1 (of the leading term at p = 0) and
+    # opens level p.
+    xs, ys, betas, thetas, coeffs, rhss = [], [], [], [], [], []
+    beta = y = np.zeros((1, spec.n), dtype=complex)
+    theta = spec.forcing.mean()
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = spec.forcing.mean()
-        leading, v, x, lead_defect = close_level(theta)
-        beta = y_prev = TrigPoly.constant(np.zeros(spec.n))
-        y = TrigPoly._of(_times(B_int, v))
-        for p in range(1, order + 2):
-            # g = M (y + x) + B0 y_prev (+ d at p = 1), one stack.
-            yx = y.data.copy()
-            yx[y.H] += x
-            g = _add_centered(_convolve(M, yx), _times_left(spec.B0, y_prev.data))
-            if p == 1:
-                # d may reach past the bound 2 H_B of g: add into the longer.
-                big, small = (g, forcing) if len(g) >= len(forcing) else (forcing.copy(), g)
-                g = _add_centered(big, small)
-            mass = float(np.sum(safe_norm(beta.data)))
-            check_finite(f"order {p} of the expansion", g, mass)
-            beta_p = TrigPoly._of(_integrated(g))
-            theta_p = spec.B0 @ x + B_osc.mean_of_product(beta_p)
-            coeff, v, x_p, defect = close_level(theta_p)
-            levels.append(
-                ExpansionLevel(
-                    mean=x,
-                    kernel_coeff=coeff,
-                    osc=y,
-                    harmonics=beta,
-                    forcing=theta,
-                    harmonic_mass=mass,
-                    solvability_defect=defect,
-                )
-            )
-            y_p = TrigPoly._of(_add_centered(beta_p.data.copy(), _times(B_int, v)))
-            y_prev, y = y, y_p
-            x, beta, theta = x_p, beta_p, theta_p
-    check_finite(f"order {order + 1} of the expansion", coeff, defect)
+        for p in range(order + 2):
+            if p:
+                # g = M (y + x) + B0 y_prev (+ d at p = 1), one stack.
+                yx = y.copy()
+                yx[len(yx) // 2] += x
+                g = _add_centered(_convolve(M, yx), _times_left(B0, y_prev))
+                if p == 1:
+                    # d may reach past the bound 2 H_B of g: add into the longer.
+                    big, small = (g, forcing) if len(g) >= len(forcing) else (forcing.copy(), g)
+                    g = _add_centered(big, small)
+                # Every later quantity is fed by g; its overflow ends the run.
+                if not np.isfinite(g).all():
+                    break
+                beta = _integrated(g)
+                theta = B0 @ x + _mean_of_product(side, beta)[:, 0]
+            # The mean equation: C from solvability, then the x part.
+            coeff = to_coeff @ theta
+            v = kernel @ coeff
+            rhs = A1 @ v + theta
+            coeffs.append(coeff)
+            rhss.append(rhs)
+            if p > order:
+                break
+            y_prev, x, y = y, minus_W @ rhs, _times(B_int, v)
+            if p:
+                y = _add_centered(beta.copy(), y)
+            xs.append(x)
+            ys.append(y)
+            betas.append(beta)
+            thetas.append(theta)
+        # The norms of every level's coefficients in one call; safe_norm
+        # scales each on its own, so they are those of a call per level.
+        norms = safe_norm(np.concatenate(betas))
+        ends = itertools.accumulate(len(b) for b in betas)
+        masses = [float(np.add.reduce(norms[j - len(b) : j])) for b, j in zip(betas, ends)]
+        # Each closed equation's defect |Z^H (A1 v + theta)|, one product for all.
+        defects = np.abs(left_h @ np.array(rhss)[..., None]).max(axis=(1, 2)).tolist()
+    # Sweep p checks the mass of beta_{p-1} and g; the last sweep checks C and
+    # its defect, or meets the g that overflowed.
+    finite = np.isfinite(masses)
+    if not finite.all():
+        check_finite(f"order {finite.argmin() + 1} of the expansion", masses)
+    check_finite(f"order {len(masses)} of the expansion", g, coeffs[-1], defects[-1])
+    levels = [
+        ExpansionLevel(
+            mean=x,
+            kernel_coeff=c,
+            osc=TrigPoly._of(y),
+            harmonics=TrigPoly._of(b),
+            forcing=t,
+            harmonic_mass=mass,
+            solvability_defect=dfx,
+        )
+        for x, c, y, b, t, mass, dfx in zip(xs, coeffs[1:], ys, betas, thetas, masses, defects[1:])
+    ]
     return AsymptoticExpansion(
         order=order,
         m=spec.m,
         real_mode=spec.real_mode,
-        leading=leading,
-        leading_defect=lead_defect,
+        leading=coeffs[0],
+        leading_defect=defects[0],
         levels=levels,
         kernel_data=kd,
     )
@@ -240,9 +267,10 @@ def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> 
     The time derivative is taken analytically (only the oscillating parts
     move), so this measures the construction, not a difference scheme.  The
     sum is the one polynomial of ``partial_sum``, and its time derivative is
-    omega times its phase derivative, both evaluated like ``partial_sum``:
-    in real arithmetic for a real system.  The right side is the field's
-    ``Sampler.apply`` at the sampled sum, so no field grid is formed.
+    omega times its phase derivative, both evaluated like ``partial_sum``,
+    on one cosine basis: in real arithmetic for a real system.  The right
+    side is the field's ``Sampler.apply`` at the sampled sum, so no field
+    grid is formed.
     Scales like omega^{-r} when every matched order truly cancels.  The
     defect is sampled at 256 phases over one period.
     """
@@ -251,8 +279,11 @@ def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> 
     omega = np.float64(omega)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _summed(exp, r, omega)
-        S = total.sampler(real=exp.real_mode)(taus)
-        dS = omega * total.derivative().sampler(real=exp.real_mode)(taus)
+        sum_of = total.sampler(real=exp.real_mode)
+        # The sum and its derivative have the same harmonics: one basis.
+        basis = sum_of.basis(taus)
+        S = sum_of.at(basis)
+        dS = omega * total.derivative().sampler(real=exp.real_mode).at(basis)
     check_finite(f"the order-{r} partial sum at omega={float(omega):g}", S)
     rhs = spec.field_map(omega).apply(taus, S[..., None])[..., 0]
     return float(np.max(np.linalg.norm(dS - rhs, axis=-1)))

@@ -66,7 +66,7 @@ def _checked(value, shape, name):
         raise SchemaError(f"{name} must be an array of numbers of shape {shape}") from None
     if arr.shape != shape:
         raise SchemaError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SchemaError(f"{name} has non-finite entries")
     return arr
 
@@ -83,7 +83,7 @@ def _checked_harmonics(coeffs, shape, name, low, m):
         if not low <= abs(l) <= m:
             raise SchemaError(f"{name} harmonic {l} outside {low} <= |l| <= {m}")
         arr = _checked(c, shape, f"{name}[{l}]")
-        if np.any(arr):
+        if arr.any():
             out[int(l)] = arr
     return out
 
@@ -151,6 +151,26 @@ def _add_centered(out, stack, op=np.add):
     rows = out[edge : len(out) - edge]
     op(rows, stack, out=rows)
     return out
+
+
+def _side_by_side(stack, K):
+    """The coefficients l = -K..K of a stack side by side, as the left factor
+    of ``_mean_of_product``: shape (rows, (2K + 1) columns), a vector being
+    one row."""
+    H = len(stack) // 2
+    a = stack[H - K : H + K + 1]
+    rows = a.shape[1] if a.ndim == 3 else 1
+    return np.swapaxes(a.reshape(2 * K + 1, rows, -1), 0, 1).reshape(rows, -1)
+
+
+def _mean_of_product(side, stack):
+    """The mean of the product of a stack laid out by ``_side_by_side`` with
+    ``stack``, the sum of a_l @ b_{-l} over |l| <= K: one product with the
+    partners b_K..b_{-K} stacked.  Shape (rows, columns of b)."""
+    K = side.shape[1] // stack.shape[1] // 2
+    H = len(stack) // 2
+    b = stack[H - K : H + K + 1][::-1]
+    return side @ b.reshape(side.shape[1], -1)
 
 
 @functools.cache
@@ -222,8 +242,8 @@ class TrigPoly:
     @property
     def coeffs(self) -> dict:
         """Harmonic -> coefficient for every nonzero coefficient."""
-        H = self.H
-        return {i - H: c for i, c in enumerate(self.data) if np.any(c)}
+        rows = self.data.reshape(len(self.data), -1).any(axis=1)
+        return {i - self.H: self.data[i] for i in np.flatnonzero(rows).tolist()}
 
     @cached_property
     def _cos_form(self) -> tuple:
@@ -323,11 +343,7 @@ class TrigPoly:
         their partners stacked."""
         shape = _product_shape(self.shape, other.shape)
         K = min(self.H, other.H)
-        a = self.data[self.H - K : self.H + K + 1]
-        b = other.data[other.H - K : other.H + K + 1][::-1]
-        rows = self.shape[0] if len(self.shape) == 2 else 1
-        side = np.swapaxes(a.reshape(2 * K + 1, rows, -1), 0, 1).reshape(rows, -1)
-        return (side @ b.reshape(side.shape[1], -1)).reshape(shape)
+        return _mean_of_product(_side_by_side(self.data, K), other.data).reshape(shape)
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
@@ -363,11 +379,16 @@ class Sampler:
         object.__setattr__(self, "coeffs", np.ascontiguousarray(self.coeffs))
 
     def __call__(self, t) -> np.ndarray:
-        """The sum at times t.  Complex coefficients are multiplied in real
-        arithmetic, as the float view of their real and imaginary parts."""
-        t = np.asarray(t, dtype=float)
-        out = (self.basis(t) @ self.coeffs.view(float)).view(self.coeffs.dtype)
-        return out.reshape(t.shape + self.shape)
+        """The sum at times t."""
+        return self.at(self.basis(np.asarray(t, dtype=float)))
+
+    def at(self, basis) -> np.ndarray:
+        """The sum from its basis terms at some times, ``basis(t)``, so that
+        sums with the same rates and shifts can share one basis.  Complex
+        coefficients are multiplied in real arithmetic, as the float view of
+        their real and imaginary parts."""
+        out = (basis @ self.coeffs.view(float)).view(self.coeffs.dtype)
+        return out.reshape(basis.shape[:-1] + self.shape)
 
     def apply(self, t, Y) -> np.ndarray:
         """The right side at n x k blocks Y of shape (*shape(t), n, k), for a
@@ -478,17 +499,17 @@ class ProblemSpec:
 def _check_real_symmetry(A0, B0, B, d):
     """real_mode demands real A0, B0, d_0 and conjugate-paired B_l, d_l."""
     for name, mat in (("A0", A0), ("B0", B0)):
-        if np.max(np.abs(mat.imag)) > CONJ_TOL:
+        if np.abs(mat.imag).max() > CONJ_TOL:
             raise ConjugacyError(f"real_mode: {name} has imaginary entries")
     for label, coeffs in (("B", B), ("d", d)):
         for l in sorted({abs(k) for k in coeffs if k != 0}):
             plus = coeffs.get(l, 0)
             minus = coeffs.get(-l, 0)
-            if np.max(np.abs(minus - np.conj(plus))) > CONJ_TOL:
+            if np.abs(minus - np.conj(plus)).max() > CONJ_TOL:
                 raise ConjugacyError(
                     f"real_mode: {label}[{-l}] is not the conjugate of {label}[{l}]"
                 )
-    if 0 in d and np.max(np.abs(d[0].imag)) > CONJ_TOL:
+    if 0 in d and np.abs(d[0].imag).max() > CONJ_TOL:
         raise ConjugacyError("real_mode: d[0] has imaginary entries")
 
 

@@ -84,7 +84,7 @@ class KernelData:
 def numerical_rank(sigma: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     """Count of the (descending) singular values that the rank cut keeps."""
     cut = rank_tol * max(float(sigma[0]), 1.0)
-    return int(np.sum(sigma > cut))
+    return int(np.count_nonzero(sigma > cut))
 
 
 def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> KernelData:
@@ -92,10 +92,14 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
 
     Raises NoKernelError when A0 is nonsingular at the rank tolerance,
     DegenerateError when the solvability matrix is singular, and
-    NonFiniteError when the averaged matrix A1 overflows.
+    NonFiniteError when a singular value of A0 or the averaged matrix A1
+    overflows.
     """
     n = spec.n
     U, sigma, Vh = np.linalg.svd(spec.A0)
+    # An overflowing sigma_max would make the rank cut inf, and every
+    # direction a kernel direction.
+    check_finite("a singular value of A0", sigma)
     rank = numerical_rank(sigma, rank_tol)
     s = n - rank
     if s == 0:
@@ -107,7 +111,8 @@ def compute_kernel_data(spec: ProblemSpec, rank_tol: float = RANK_TOL) -> Kernel
     left_kernel = U[:, rank:]
     inv_sigma = np.zeros(n)
     inv_sigma[:rank] = 1.0 / sigma[:rank]
-    restricted_inverse = Vh.conj().T @ np.diag(inv_sigma) @ U.conj().T
+    # Vh^H diag(1/sigma) U^H, the diagonal applied to the columns.
+    restricted_inverse = (Vh.conj().T * inv_sigma) @ U.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
         A1 = averaged_matrix(spec)
     check_finite("the averaged matrix A1", A1)

@@ -6,12 +6,15 @@ import pytest
 from hfosc import fixtures
 from hfosc.bounds import (
     ConvergenceConstants,
+    _block_norms,
+    _spectral_norms,
     check_growth,
     constants,
     is_normalized,
     normalize,
 )
-from hfosc.expansion import expand, partial_sum
+from hfosc.expansion import expand, partial_sum, safe_norm
+from hfosc.spectral import compute_kernel_data
 from hfosc.model import ProblemSpec, load_problem
 
 
@@ -146,3 +149,33 @@ def test_growth_budget_past_the_float_range_holds():
     assert np.isinf(budget[113:]).all() and np.isfinite(budget[:112]).all()
     with pytest.raises(OverflowError):
         (cc.K * (cc.K * cc.L + 1.0)) ** 120
+
+
+def _admissible_specs():
+    """Real and complex admissible specs with m = 0..4."""
+    return [
+        fixtures.random_admissible(seed=[seed, m], n=2 + 3 * m, m=m, s=1 + seed % 2, real_mode=real)
+        for m in range(5) for real in (True, False) for seed in range(3)
+    ]
+
+
+def test_batched_two_norms_are_the_per_block_norms_to_the_bit():
+    # One batched SVD gives each block the singular values of its own call.
+    for spec in _admissible_specs():
+        want = [np.linalg.norm(spec.A0, 2), np.linalg.norm(spec.B0, 2)]
+        want += [np.linalg.norm(M, 2) for M in spec.B.values()]
+        want += [np.linalg.norm(v) for v in spec.d.values()]
+        assert np.array_equal(_block_norms(spec), want)
+        kd = compute_kernel_data(spec)
+        W, A1 = kd.restricted_inverse, kd.averaged
+        assert np.array_equal(
+            _spectral_norms(W, A1), [np.linalg.norm(W, 2), np.linalg.norm(A1, 2)]
+        )
+
+
+def test_theta_norms_are_the_per_level_safe_norms_to_the_bit():
+    for spec in _admissible_specs():
+        prime, _ = normalize(spec)
+        exp = expand(prime, order=6)
+        report = check_growth(exp, constants(prime))
+        assert np.array_equal(report.theta_norms, [safe_norm(lev.forcing) for lev in exp.levels])

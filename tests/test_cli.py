@@ -550,6 +550,22 @@ def test_overflow_exits_one_with_an_error(tmp_path, argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("spec, what", [
+    # Rank one: sigma = [inf, 0] would put the rank cut at inf, and both
+    # directions in the kernel.
+    (ProblemSpec(n=2, m=0, A0=1.5e308 * np.ones((2, 2)), B0=-np.eye(2), d={0: [1.0, 0.0]}),
+     "a singular value of A0"),
+    # |B0| = 3e308 would scale every block to zero, and the normalized
+    # problem to a singular one.
+    (ProblemSpec(n=2, m=0, A0=np.diag([0.0, -1.0]), B0=1.5e308 * np.ones((2, 2)), d={0: [1.0, 0.0]}),
+     "the normalization scale"),
+], ids=["sigma_max", "scale"])
+def test_overflowing_singular_values_exit_one(tmp_path, capsys, spec, what):
+    assert main(["analyze", _write(tmp_path, spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{what} is not finite" in err
+
+
 def test_json_reports_refuse_non_finite_numbers(tmp_path, capsys, monkeypatch):
     # The backstop behind the finite checks: a NaN that reaches the report
     # is an error, never an invalid JSON token.

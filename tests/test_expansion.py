@@ -86,6 +86,25 @@ def test_mean_equation_holds_at_every_level():
             assert np.linalg.norm(resid) < 1e-10 * scale
 
 
+def test_masses_and_defects_are_each_levels_own_to_the_bit():
+    # The sweeps leave both to one call after them.  Level k's defect is
+    # that of the equation which closed C_k with theta_{k+1}.
+    for m in range(5):
+        for real_mode in (True, False):
+            spec = fixtures.random_admissible(
+                seed=[m, 5], n=2 + 3 * m, m=m, s=1 + m % 2, real_mode=real_mode
+            )
+            exp = expand(spec, order=6)
+            kd = exp.kernel_data
+            coeffs = [exp.leading] + [lev.kernel_coeff for lev in exp.levels[:-1]]
+            defects = [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels[:-1]]
+            for c, lev, defect in zip(coeffs, exp.levels, defects):
+                g = kd.averaged @ (kd.kernel @ c) + lev.forcing
+                assert defect == float(np.max(np.abs(kd.left_kernel.conj().T @ g)))
+            for lev in exp.levels:
+                assert lev.harmonic_mass == float(np.sum(safe_norm(lev.harmonics.data)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_every_level_closes_its_solvability_condition(data):
@@ -328,6 +347,17 @@ def test_large_finite_coefficients_keep_finite_masses():
         means = safe_norm(np.array([lev.mean for lev in exp.levels]))
     assert np.all(np.isfinite(masses)) and np.all(np.isfinite(means))
     assert masses[-1] > 1e180 and means[-1] > 1e180
+
+
+def test_safe_norm_is_numpys_norm_to_the_bit_between_1e_100_and_1e100():
+    # The power-of-two scaling is exact there, so the norms are numpy's of
+    # the real and imaginary parts, whatever each vector's magnitude.
+    rng = np.random.default_rng(9)
+    for k in (1, 3, 8, 29):
+        mags = 10.0 ** rng.uniform(-100, 100, size=(60, k))
+        a = mags * np.exp(2j * np.pi * rng.uniform(size=(60, k)))
+        assert np.array_equal(safe_norm(a), np.linalg.norm(a.view(float), axis=-1))
+        assert safe_norm(a[0]) == np.linalg.norm(a[0].view(float), axis=-1)
 
 
 def test_safe_norm_is_the_euclidean_norm_at_any_scale():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfosc import fixtures
 from hfosc.errors import DegenerateError, NoKernelError
@@ -175,3 +177,45 @@ def test_rank_tolerance_is_relative_and_adjustable():
     assert kd.dim == 1
     assert np.allclose(np.abs(kd.kernel[:, 0]), [0.0, 1.0], atol=1e-12)
     assert kd.solvability_sigma_min == pytest.approx(1.0, rel=1e-9)
+
+
+def test_restricted_inverse_is_the_truncated_pseudo_inverse_to_the_bit():
+    # W scales the columns of Vh^H by 1/sigma in place of a product with
+    # diag(1/sigma), whose other terms are exact zeros.
+    for m in range(5):
+        for real in (True, False):
+            for seed in range(4):
+                spec = fixtures.random_admissible(
+                    seed=[seed, m, 3], n=2 + 3 * m, m=m, s=min(1 + seed, 2 + 3 * m), real_mode=real
+                )
+                kd = compute_kernel_data(spec)
+                U, sigma, Vh = np.linalg.svd(spec.A0)
+                rank = spec.n - kd.dim
+                inv_sigma = np.zeros(spec.n)
+                inv_sigma[:rank] = 1.0 / sigma[:rank]
+                want = Vh.conj().T @ np.diag(inv_sigma) @ U.conj().T
+                assert np.array_equal(kd.restricted_inverse, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_geometry_holds_on_random_admissible_specs(data):
+    n = data.draw(st.integers(2, 16), label="n")
+    spec = fixtures.random_admissible(
+        seed=data.draw(st.integers(0, 10**6), label="seed"),
+        n=n,
+        m=data.draw(st.integers(0, 3), label="m"),
+        s=data.draw(st.integers(1, min(3, n)), label="s"),
+        real_mode=data.draw(st.booleans(), label="real_mode"),
+    )
+    kd = compute_kernel_data(spec)
+    K, Z, W, A0 = kd.kernel, kd.left_kernel, kd.restricted_inverse, spec.A0
+    # Orthonormal bases of ker(A0) and ker(A0^H).
+    for basis in (K, Z):
+        assert np.abs(basis.conj().T @ basis - np.eye(kd.dim)).max() <= 1e-12
+    assert np.linalg.norm(A0 @ K, 2) <= 1e-9 * kd.sigma[0]
+    assert np.linalg.norm(A0.conj().T @ Z, 2) <= 1e-9 * kd.sigma[0]
+    # W inverts A0 on its range and maps into the complement of the kernel.
+    P = np.eye(n) - Z @ Z.conj().T
+    assert np.abs(A0 @ W @ P - P).max() <= 1e-9
+    assert np.abs(K.conj().T @ W).max() <= 1e-9
