@@ -15,6 +15,12 @@ the first nonvanishing coefficient of every minor decides stability for
 large omega; a minor that vanishes through the computed truncation leaves
 the test inconclusive (and genuinely so: systems agreeing in every
 computed order can differ in stability).
+
+Both steps are arithmetic on coefficient stacks.  The transform runs on the
+trigonometric-polynomial stacks of ``hfosc.model`` through the helpers that
+``expand`` uses; the series run on order-first stacks through one truncated
+product, ``_product``, and one unit inverse, ``_inverse``.  ``TrigPoly`` and
+``Series`` only hold the results.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRealError, check_finite
-from .model import ProblemSpec, TrigPoly, _integrated
+from .model import ProblemSpec, TrigPoly, _add_centered, _convolve, _integrated, _times, _times_left
 from .spectral import numerical_rank
 
 # Relative floor below which a series coefficient counts as zero.
@@ -82,14 +88,11 @@ class Series:
 
     ``coeffs`` has shape (trunc+1, *shape): ``coeffs[q]`` multiplies
     omega^{-q} and is a number for shape () or a matrix for shape (n, n).
-    Arithmetic truncates to the shorter operand and never reads beyond it,
-    so truncating operands first and truncating the result agree.
+    A value type with no arithmetic operators: the ring's product and unit
+    inverse are ``_product`` and ``_inverse``, on order-first stacks.
     """
 
     coeffs: np.ndarray
-
-    # Make numpy arrays and scalars defer to the reflected operators below.
-    __array_ufunc__ = None
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=complex)
@@ -98,47 +101,12 @@ class Series:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @classmethod
-    def constant(cls, value, trunc: int) -> "Series":
-        value = np.asarray(value, dtype=complex)
-        coeffs = np.zeros((trunc + 1,) + value.shape, dtype=complex)
-        coeffs[0] = value
-        return cls(coeffs)
-
     @property
     def trunc(self) -> int:
         return len(self.coeffs) - 1
 
     def coeff(self, q: int):
         return self.coeffs[q]
-
-    def truncated(self, trunc: int) -> "Series":
-        if trunc >= self.trunc:
-            return self
-        return Series(self.coeffs[: trunc + 1])
-
-    def __add__(self, other: "Series") -> "Series":
-        k = min(self.trunc, other.trunc)
-        return Series(self.coeffs[: k + 1] + other.coeffs[: k + 1])
-
-    def __sub__(self, other: "Series") -> "Series":
-        k = min(self.trunc, other.trunc)
-        return Series(self.coeffs[: k + 1] - other.coeffs[: k + 1])
-
-    def __mul__(self, other):
-        """Product of scalar series, or scaling by a number."""
-        if isinstance(other, Series):
-            return Series(_product(self.coeffs, other.coeffs))
-        return Series(complex(other) * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Series") -> "Series":
-        """Product of matrix series: sum_{i<=q} A_i B_{q-i} at order q."""
-        return Series(_product(self.coeffs, other.coeffs, np.matmul))
-
-    def trace(self) -> "Series":
-        return Series(np.trace(self.coeffs, axis1=-2, axis2=-1))
 
     def __call__(self, omega: float):
         powers = float(omega) ** -np.arange(self.trunc + 1)
@@ -147,23 +115,28 @@ class Series:
 
 def kb_transform(spec: ProblemSpec, trunc: int):
     """Averaged-matrix series and the transformation terms U_1..U_trunc.
-    Raises NonFiniteError when an order overflows."""
+
+    Each order is arithmetic on raw coefficient stacks, as in ``expand``:
+    G = M U_k + B0 U_{k-1} - sum_j U_j A_{k-j}, A_k its mean row and
+    U_{k+1} its zero-mean antiderivative; the U_k are wrapped once they are
+    done.  Raises NonFiniteError when an order overflows."""
     if trunc < 1:
         raise ValueError(f"trunc must be >= 1, got {trunc}")
-    U = [TrigPoly.constant(np.eye(spec.n))]
+    M = spec.matrix.data
+    U = [np.eye(spec.n, dtype=complex)[None]]
     A_list = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(trunc + 1):
-            G = spec.matrix @ U[k]
+            G = _convolve(M, U[k])
             if k >= 1:
-                G = G + spec.B0 @ U[k - 1]
+                _add_centered(G, _times_left(spec.B0, U[k - 1]))
             for j in range(1, k + 1):
-                G = G - U[j] @ A_list[k - j]
-            check_finite(f"order {k} of the averaging transform", G.data)
-            A_list.append(G.mean())
+                _add_centered(G, _times(U[j], A_list[k - j]), np.subtract)
+            check_finite(f"order {k} of the averaging transform", G)
+            A_list.append(G[len(G) // 2])
             if k < trunc:
-                U.append(TrigPoly._of(_integrated(G.data)))
-    return Series(A_list), U[1:]
+                U.append(_integrated(G))
+    return Series(A_list), [TrigPoly._of(Uk) for Uk in U[1:]]
 
 
 def formal_average(spec: ProblemSpec, trunc: int = DEFAULT_TRUNC) -> Series:
@@ -180,9 +153,11 @@ def transform_residual(spec: ProblemSpec, omega, trunc: int, samples: int = 128)
     result scales like omega^{-trunc}.
     """
     series, U = kb_transform(spec, trunc)
-    P = TrigPoly.constant(np.eye(spec.n))
+    # U_k reaches the harmonics k m, so the last one has the largest bound.
+    P = _add_centered(np.zeros_like(U[-1].data), np.eye(spec.n)[None])
     for k, Uk in enumerate(U, start=1):
-        P = P + float(omega) ** (-k) * Uk
+        _add_centered(P, float(omega) ** (-k) * Uk.data)
+    P = TrigPoly._of(P)
     taus = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     Pt = P(taus)
     R = spec.system_matrix(taus, omega) @ Pt - omega * P.derivative()(taus)
@@ -206,15 +181,16 @@ def char_poly_series(ms: Series) -> list:
     n = ms.coeffs.shape[-1]
     eye = np.eye(n)
     alphas = []
-    M = Series.constant(eye, ms.trunc)
+    M = np.zeros_like(ms.coeffs)
+    M[0] = eye
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n + 1):
-            AM = ms @ M
-            check_finite(f"A M_{k} of the characteristic series", AM.coeffs)
-            ck = (-1.0 / k) * AM.trace()
-            alphas.append(ck)
+            AM = _product(ms.coeffs, M, np.matmul)
+            check_finite(f"A M_{k} of the characteristic series", AM)
+            ck = (-1.0 / k) * np.trace(AM, axis1=-2, axis2=-1)
+            alphas.append(Series(ck))
             if k < n:
-                M = AM + Series(ck.coeffs[:, None, None] * eye)
+                M = AM + ck[:, None, None] * eye
     return alphas
 
 
@@ -225,7 +201,7 @@ def hurwitz_series(alphas: list) -> list:
     with alpha_0 = 1 and alpha out of range zero.  The leading blocks
     H_1..H_{n-1}, padded with zeros to the largest, are one stack in the
     layout of ``Series.coeffs``, (order, block, row, column), and one
-    Gaussian elimination over the ring of ``Series`` reduces them all:
+    Gaussian elimination over the ring of truncated series reduces them all:
     C[eps]/eps^(trunc+1), eps = 1/omega, trunc the smallest truncation of
     the alphas.  D_n = alpha_n D_{n-1}: the last row of H_n holds alpha_n.
 
@@ -304,7 +280,9 @@ def hurwitz_series(alphas: list) -> list:
             f = _product(_inverse(W[:, :, :1, 0]), W[:, :, 1:, 0])
             W = W[:, :, 1:, 1:] - _product(f[..., None], W[:, :, :1, 1:])
         # The last row of H_n is (0, ..., 0, alpha_n); for n = 1 alpha_1 sets trunc.
-        minors.append(alphas[-1] * minors[-1] if minors else alphas[-1])
+        minors.append(
+            Series(_product(alphas[-1].coeffs, minors[-1].coeffs)) if minors else alphas[-1]
+        )
     check_finite("a Hurwitz minor", det, minors[-1].coeffs)
     return minors
 

@@ -25,16 +25,17 @@ fixed by the mean equation that beta_p feeds.  Sweep p >= 1 then reads
     y_p     = beta_p + D^{-1}(B_osc v_{p-1}),
 
 starting from theta_0 = d_0, y_{-1} = 0 and y_0 = D^{-1}(B_osc v_{-1}).
-M is the spec's ``matrix``, B_osc = M - A0, and d its ``forcing``, with
-d_0 = ``forcing.mean()``.
+M is the spec's ``matrix``, B_osc its stack with A0 taken from the mean
+row, and d its ``forcing``, with d_0 = ``forcing.mean()``.
 The mean equation is solvable exactly when its projection on ker(A0^H)
 vanishes; that fixes C_{p-1} through the solvability matrix, after which
 x_p = -W (A1 v_{p-1} + theta_p).  So each sweep closes level p-1 and opens
 level p.
 
-Every step is arithmetic on raw coefficient stacks, the arrays of the
-``TrigPoly`` algebra, three new stacks per sweep; the levels are wrapped
-once the sweeps are done (see ``expand``).  The arrays of level p hold the
+Every step is arithmetic on raw coefficient stacks through the helpers of
+``hfosc.model``, the one algebra that the averaging transform also runs on,
+three new stacks per sweep; the levels are wrapped in ``TrigPoly`` once the
+sweeps are done (see ``expand``).  The arrays of level p hold the
 harmonics |l| <= (p+1) m at most, a bound set by p and the data and never
 by the requested order, so a longer expansion repeats a shorter one bit for
 bit.
@@ -143,10 +144,10 @@ def expand(
     to_coeff = np.linalg.solve(kd.solvability, -left_h)
     minus_W = -kd.restricted_inverse
     M, forcing = spec.matrix.data, spec.forcing.data
-    B_osc = spec.matrix - spec.A0
-    side = _side_by_side(B_osc.data, B_osc.H)
+    B_osc = _add_centered(M.copy(), spec.A0[None], np.subtract)
+    side = _side_by_side(B_osc, len(B_osc) // 2)
     # d^-1(B_osc v) = (d^-1 B_osc) v for a constant v.
-    B_int = B_osc.antiderivative().data
+    B_int = _integrated(B_osc)
 
     # Level k is (x_k, C_k, y_k, beta_k, theta_k, its defect); sweep p closes
     # C and the defect of level p - 1 (of the leading term at p = 0) and

@@ -73,7 +73,9 @@ def _checked(value, shape, name):
 
 def _checked_harmonics(coeffs, shape, name, low, m):
     """Checked map from integer harmonics low <= |l| <= m, exact zeros dropped
-    (after the checks, so a zero block out of range is rejected)."""
+    (after the checks, so a zero block out of range is rejected), in
+    ascending order of l: sums over it, such as the averaged matrix's, then
+    add in one order for every spec with the same canonical document."""
     if not isinstance(coeffs, dict):
         raise SchemaError(f"{name} must be a dict of harmonic -> coefficient")
     out = {}
@@ -85,15 +87,7 @@ def _checked_harmonics(coeffs, shape, name, low, m):
         arr = _checked(c, shape, f"{name}[{l}]")
         if arr.any():
             out[int(l)] = arr
-    return out
-
-
-def _product_shape(a: tuple, b: tuple) -> tuple:
-    """Value shape of a @ b by numpy's matmul rule, for vector and matrix
-    values: a vector is a row on the left and a column on the right."""
-    if not (0 < len(a) < 3 and 0 < len(b) < 3 and len(a) + len(b) > 2) or a[-1] != b[0]:
-        raise ValueError(f"cannot multiply values of shapes {a} and {b}")
-    return a[:-1] + b[1:]
+    return dict(sorted(out.items()))
 
 
 def _times(stack, c):
@@ -196,12 +190,16 @@ class TrigPoly:
     ``data`` has shape (2H+1, *shape): ``data[H + l]`` is c_l, a vector for
     shape (n,) and a matrix for shape (n, n).  Zero coefficients are stored
     like any other, so H is a bound on the harmonics, not the degree.
+
+    A value type with no arithmetic operators: the algebra is the module's
+    functions on raw coefficient stacks (``_convolve``, ``_times``,
+    ``_times_left``, ``_add_centered``, ``_mean_of_product``,
+    ``_integrated``), which the expansion and the averaging transform both
+    run on.  A ``TrigPoly`` holds a result to evaluate, differentiate,
+    compare or report.
     """
 
     data: np.ndarray
-
-    # Make numpy arrays defer to the reflected operators below.
-    __array_ufunc__ = None
 
     def __post_init__(self):
         data = _freeze(self.data)
@@ -217,10 +215,6 @@ class TrigPoly:
         data.setflags(write=False)
         object.__setattr__(poly, "data", data)
         return poly
-
-    @classmethod
-    def constant(cls, value) -> "TrigPoly":
-        return cls(np.asarray(value, dtype=complex)[None])
 
     @classmethod
     def from_coeffs(cls, coeffs: dict, shape: tuple) -> "TrigPoly":
@@ -301,50 +295,6 @@ class TrigPoly:
         out[H - self.H : H + self.H + 1] = self.data
         return out
 
-    def _combined(self, other, op) -> "TrigPoly":
-        """op(self, other) for np.add or np.subtract, with a polynomial or a
-        constant (an array, taken as the mean row) of the same value shape."""
-        stack = other.data if isinstance(other, TrigPoly) else np.asarray(other)[None]
-        if stack.shape[1:] != self.shape:
-            raise ValueError(
-                f"cannot add or subtract values of shapes {self.shape} and {stack.shape[1:]}"
-            )
-        return TrigPoly._of(_add_centered(self.padded(max(self.H, len(stack) // 2)), stack, op))
-
-    def __add__(self, other) -> "TrigPoly":
-        return self._combined(other, np.add)
-
-    def __sub__(self, other) -> "TrigPoly":
-        return self._combined(other, np.subtract)
-
-    def __mul__(self, factor) -> "TrigPoly":
-        return TrigPoly._of(factor * self.data)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "TrigPoly":
-        """Pointwise matrix product; harmonic indices convolve.  A constant
-        (an array) multiplies every coefficient in one product."""
-        if not isinstance(other, TrigPoly):
-            other = np.asarray(other)
-            _product_shape(self.shape, other.shape)
-            return TrigPoly._of(_times(self.data, other))
-        _product_shape(self.shape, other.shape)
-        return TrigPoly._of(_convolve(self.data, other.data))
-
-    def __rmatmul__(self, other) -> "TrigPoly":
-        other = np.asarray(other)
-        _product_shape(other.shape, self.shape)
-        return TrigPoly._of(_times_left(other, self.data))
-
-    def mean_of_product(self, other: "TrigPoly") -> np.ndarray:
-        """(self @ other).mean(), the sum of c_l @ d_{-l}, from the matching
-        harmonics alone: one product of the harmonics side by side with
-        their partners stacked."""
-        shape = _product_shape(self.shape, other.shape)
-        K = min(self.H, other.H)
-        return _mean_of_product(_side_by_side(self.data, K), other.data).reshape(shape)
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
@@ -423,8 +373,8 @@ class ProblemSpec:
     same system have the same canonical document, which ``==`` compares.
     The constructor also builds the system's two polynomials once:
     ``matrix`` is M(tau) = A0 + sum B_l e^{i l tau} and ``forcing`` is
-    f(tau) = sum d_l e^{i l tau}, so B_osc is ``matrix - A0`` and d_0 is
-    ``forcing.mean()``.
+    f(tau) = sum d_l e^{i l tau}, so B_osc is ``matrix.data`` with A0
+    taken from its mean row and d_0 is ``forcing.mean()``.
     """
 
     n: int

@@ -16,6 +16,7 @@ from hfosc import fixtures
 from hfosc.averaging import (
     DEFAULT_TRUNC,
     Series,
+    _product,
     analyze_stability,
     char_poly_series,
     classify,
@@ -26,7 +27,7 @@ from hfosc.averaging import (
 )
 from hfosc.bounds import constants, normalize
 from hfosc.errors import NonFiniteError, NotRealError
-from hfosc.model import ProblemSpec, load_problem
+from hfosc.model import ProblemSpec, TrigPoly, load_problem
 from hfosc.oracle import floquet_verdict
 from hfosc.spectral import averaged_matrix
 
@@ -37,31 +38,19 @@ problems = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(problems)
 
 
-def _random_scalar_series(rng, trunc):
-    return Series(rng.standard_normal(trunc + 1))
-
-
 def test_scalar_series_arithmetic():
     rng = np.random.default_rng(0)
-    a = _random_scalar_series(rng, 5)
-    b = _random_scalar_series(rng, 5)
-    s = a + b
+    a, b = rng.standard_normal((2, 6))
+    p = _product(a, b)
     for q in range(6):
-        assert s.coeff(q) == a.coeff(q) + b.coeff(q)
-    d = a - b
-    for q in range(6):
-        assert d.coeff(q) == pytest.approx(a.coeff(q) - b.coeff(q))
-    p = a * b
-    for q in range(6):
-        want = sum(a.coeff(i) * b.coeff(q - i) for i in range(q + 1))
-        assert p.coeff(q) == pytest.approx(want)
-    assert (2.0 * a).coeff(3) == pytest.approx(2.0 * a.coeff(3))
+        want = sum(a[i] * b[q - i] for i in range(q + 1))
+        assert p[q] == pytest.approx(want)
     # Evaluation sums coeff / omega^q.
+    series = Series(a)
+    assert series.trunc == 5 and series.coeff(3) == a[3]
     omega = 7.0
-    want = sum(a.coeff(q) * omega ** (-q) for q in range(6))
-    assert a(omega) == pytest.approx(want)
-    assert a.truncated(2).trunc == 2
-    assert a.truncated(9) is a
+    want = sum(a[q] * omega ** (-q) for q in range(6))
+    assert series(omega) == pytest.approx(want)
     with pytest.raises(ValueError):
         Series(())
 
@@ -69,13 +58,12 @@ def test_scalar_series_arithmetic():
 def test_series_truncation_commutes_with_multiplication():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        a = _random_scalar_series(rng, 6)
-        b = _random_scalar_series(rng, 6)
+        a, b = rng.standard_normal((2, 7))
         k = int(rng.integers(0, 6))
-        full = (a * b).truncated(k)
-        cut = a.truncated(k) * b.truncated(k)
+        full = _product(a, b)[: k + 1]
+        cut = _product(a[: k + 1], b[: k + 1])
         for q in range(k + 1):
-            assert full.coeff(q) == pytest.approx(cut.coeff(q))
+            assert full[q] == pytest.approx(cut[q])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -83,41 +71,35 @@ def test_series_products_are_causal(bad):
     # Order q of a product reads orders <= q of its operands and nothing
     # above: a non-finite order q leaves the orders below it as they were.
     rng = np.random.default_rng(3)
-    for shape, mul in (((), lambda x, y: x * y), ((3, 3), lambda x, y: x @ y)):
+    for shape, op in (((), np.multiply), ((3, 3), np.matmul)):
         a, b = (rng.standard_normal((6,) + shape) for _ in range(2))
         for q in range(1, 6):
             spoilt = a.copy()
             spoilt[q] = bad
             with np.errstate(invalid="ignore"):
                 for x, y in ((spoilt, b), (b, spoilt)):
-                    got = mul(Series(x), Series(y)).coeffs
-                    want = mul(Series(x[:q]), Series(y[:q])).coeffs
+                    got = _product(x, y, op)
+                    want = _product(x[:q], y[:q], op)
                     np.testing.assert_array_equal(got[:q], want)
                     assert not np.isfinite(got[q]).all()
         # Unequal truncations give the shorter one.
-        assert mul(Series(a), Series(b[:4])).trunc == 3
-        assert mul(Series(a[:2]), Series(b)).trunc == 1
+        assert len(_product(a, b[:4], op)) == 4
+        assert len(_product(a[:2], b, op)) == 2
 
 
 def test_matrix_series_arithmetic():
     rng = np.random.default_rng(2)
-    A = tuple(rng.standard_normal((3, 3)) for _ in range(4))
-    B = tuple(rng.standard_normal((3, 3)) for _ in range(4))
-    ma, mb = Series(A), Series(B)
-    prod = ma @ mb
+    A, B = rng.standard_normal((2, 4, 3, 3))
+    prod = _product(A, B, np.matmul)
     for q in range(4):
         want = sum(A[i] @ B[q - i] for i in range(q + 1))
-        assert np.allclose(prod.coeff(q), want, atol=1e-13)
-    tr = ma.trace()
-    for q in range(4):
-        assert tr.coeff(q) == pytest.approx(np.trace(A[q]))
+        assert np.allclose(prod[q], want, atol=1e-13)
     omega = 11.0
     want = sum(omega ** (-q) * A[q] for q in range(4))
-    assert np.allclose(ma(omega), want, atol=1e-13)
-    ident = Series.constant(np.eye(3), 3)
-    same = ident @ ma
-    for q in range(4):
-        assert np.allclose(same.coeff(q), A[q], atol=1e-14)
+    assert np.allclose(Series(A)(omega), want, atol=1e-13)
+    ident = np.zeros_like(A)
+    ident[0] = np.eye(3)
+    np.testing.assert_array_equal(_product(ident, A, np.matmul), A)
     # All coefficients share one shape.
     with pytest.raises(ValueError):
         Series((np.zeros((2, 2)), np.zeros((3, 3))))
@@ -135,7 +117,7 @@ def test_transform_first_terms_match_hand_formulas():
         assert np.allclose(series.coeff(0), spec.A0, atol=1e-14)
         assert np.allclose(series.coeff(1), averaged_matrix(spec), atol=1e-13)
         # U_1 is the zero-mean antiderivative of the oscillating part.
-        want = (spec.matrix - spec.A0).antiderivative()
+        want = TrigPoly.from_coeffs(spec.B, (3, 3)).antiderivative()
         assert U[0] == want
         for Uk in U:
             assert np.allclose(Uk.mean(), 0.0, atol=1e-12)
@@ -144,7 +126,7 @@ def test_transform_first_terms_match_hand_formulas():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_averaging_routes_agree_at_first_order(data):
-    # The transform's A1 comes out of TrigPoly products; the kernel-geometry
+    # The transform's A1 comes out of coefficient-stack products; the kernel-geometry
     # route sums B_{-l} B_l / (i l) directly.
     n = data.draw(st.integers(1, 8), label="n")
     spec = fixtures.random_admissible(
@@ -218,7 +200,7 @@ def test_hurwitz_minors_match_numpy_determinants():
     for n in range(2, 7):
         for _ in range(5):
             c = rng.standard_normal(n)
-            alphas = [Series.constant(v, 2) for v in c]
+            alphas = [Series((v, 0.0, 0.0)) for v in c]
             minors = hurwitz_series(alphas)
             H = _hurwitz_matrix(c)
             for k in range(1, n + 1):
@@ -391,7 +373,7 @@ def test_simple_systems_classify_by_sign():
 
 
 def test_classification_priority_and_threshold():
-    one = Series.constant(1.0, 4)
+    one = Series((1.0, 0.0, 0.0, 0.0, 0.0))
     vanished = Series((0.0, 1e-15, 0.0, 0.0, 0.0))
     negative = Series((0.0, -2.0, 0.0, 0.0, 0.0))
     # A negative leader dominates a vanished minor.
@@ -401,7 +383,7 @@ def test_classification_priority_and_threshold():
     assert verdict.leaders[2] == (1, pytest.approx(-2.0))
     # Without the negative minor the vanished one rules.
     assert classify([one, vanished]).kind == "Inconclusive"
-    assert classify([one, one * one]).kind == "Stable"
+    assert classify([one, one]).kind == "Stable"
     # The zero threshold is relative to the largest coefficient; a stray
     # 1e-4 next to a 1e6 entry counts as zero at tolerance 1e-9.
     lopsided = Series((0.0, 1e-4, 1e6, 0.0, 0.0))
@@ -460,7 +442,7 @@ def test_large_real_system_classifies_like_its_multipliers():
 
 
 def test_verdict_reports_measured_quantities_next_to_thresholds():
-    one = Series.constant(1.0, 4)
+    one = Series((1.0, 0.0, 0.0, 0.0, 0.0))
     lopsided = Series((0.0, 1e-4, 1e6, 0.0, 0.0))
     vanished = Series((0.0, 1e-15, 0.0, 0.0, 0.0))
     verdict = classify([one, lopsided, vanished])
@@ -532,6 +514,32 @@ def test_imaginary_part_exit_returns_without_classify(monkeypatch):
     assert calls == [3]
 
 
+def test_imaginary_part_exit_on_constructed_minors(monkeypatch):
+    # The exit without any rounding pattern: a real system's minors with
+    # their imaginary parts set to 1e-3 of their scale.
+    import hfosc.averaging as averaging
+
+    real = averaging.hurwitz_series
+
+    def complexish(alphas):
+        out = []
+        for mnr in real(alphas):
+            scale = max(float(np.max(np.abs(mnr.coeffs.real))), 1.0)
+            out.append(Series(mnr.coeffs.real + 1e-3j * scale))
+        return out
+
+    spec = fixtures.random_admissible(seed=0, n=3, m=1)
+    assert analyze_stability(spec).kind in ("Stable", "Unstable")
+    monkeypatch.setattr(averaging, "hurwitz_series", complexish)
+    verdict = analyze_stability(spec)
+    assert verdict.kind == "Inconclusive"
+    # The scale of a minor is its largest modulus, which the imaginary
+    # parts raise by a factor of 1 + 5e-7 at most.
+    assert verdict.imag_ratio == pytest.approx(1e-3, rel=1e-6)
+    assert f"{verdict.imag_ratio:.3e}" in verdict.detail and "imag_tol 1e-06" in verdict.detail
+    assert verdict.leaders == () and verdict.zero_ratios == ()
+
+
 @pytest.mark.parametrize("bad", [np.nan, complex(np.inf, np.inf), complex(1.0, np.inf)])
 def test_non_finite_minors_keep_precedence_over_imaginary_parts(monkeypatch, bad):
     # D_3 alone would fail the imaginary-part test; the NaN ratio of D_2
@@ -572,7 +580,7 @@ def test_series_chain_raises_on_overflow(stable):
 
 
 def test_characteristic_series_raises_on_overflow():
-    big = Series.constant(1e200 * np.ones((2, 2)), 2)
+    big = Series([1e200 * np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match="characteristic series"):

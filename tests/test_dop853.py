@@ -15,7 +15,7 @@ from hfosc.oracle import INTEGRATOR_TOL, monodromy, periodic_solution
 
 def _constant(F):
     """The constant field [M | f] = F as a real ``Sampler``."""
-    return TrigPoly.constant(F).sampler(real=True)
+    return TrigPoly(np.asarray(F)[None]).sampler(real=True)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hfosc import fixtures
 from hfosc.errors import DegenerateError, NoKernelError
-from hfosc.model import ProblemSpec
+from hfosc.model import ProblemSpec, TrigPoly
 from hfosc.spectral import averaged_matrix, compute_kernel_data
 
 
@@ -26,7 +26,7 @@ def test_averaged_matrix_matches_quadrature():
     # trigonometric polynomials of low degree exactly.
     for seed in range(6):
         spec = fixtures.random_admissible(seed=seed, n=3, m=2)
-        osc = spec.matrix - spec.A0
+        osc = TrigPoly.from_coeffs(spec.B, (spec.n, spec.n))
         prim = osc.antiderivative()
         tau = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         acc = np.zeros((spec.n, spec.n), dtype=complex)
