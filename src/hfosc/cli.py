@@ -25,6 +25,7 @@ from .errors import (
     DegenerateError,
     HfoscError,
     NoKernelError,
+    NonFiniteError,
     NonUniqueError,
 )
 from .expansion import expand, partial_sum, safe_norm
@@ -70,10 +71,7 @@ def _fmt_vec(v) -> str:
 
 
 def _basis_lines(label, basis) -> list:
-    out = [f"{label}:"]
-    for j in range(basis.shape[1]):
-        out.append(f"  {j + 1}: {_fmt_vec(basis[:, j])}")
-    return out
+    return [f"{label}:"] + [f"  {j}: {_fmt_vec(col)}" for j, col in enumerate(basis.T, 1)]
 
 
 def _cmd_analyze(spec, args):
@@ -82,37 +80,28 @@ def _cmd_analyze(spec, args):
     cc = bounds_mod.constants(
         norm_spec, compute_kernel_data(norm_spec, rank_tol=args.rank_tol)
     )
-    doc = {
-        "n": spec.n,
-        "m": spec.m,
-        "real_mode": spec.real_mode,
-        "kernel_dim": kd.dim,
-        "singular_values": [float(s) for s in kd.sigma],
-        "kernel": to_pairs(kd.kernel),
-        "left_kernel": to_pairs(kd.left_kernel),
-        "averaged": to_pairs(kd.averaged),
-        "solvability": to_pairs(kd.solvability),
-        "solvability_sigma_min": kd.solvability_sigma_min,
-        "scale": scale,
-        "K": cc.K,
-        "L": cc.L,
-        "omega0": cc.omega0,
-    }
-    lines = [
-        f"problem: n={spec.n} m={spec.m} "
-        + ("real" if spec.real_mode else "complex"),
-        f"zero eigenvalue multiplicity: {kd.dim}",
-        f"singular values of A0: {', '.join(f'{s:.6g}' for s in kd.sigma)}",
+    report = [
+        ("n", spec.n, f"problem: n={spec.n} m={spec.m} "
+         + ("real" if spec.real_mode else "complex")),
+        ("m", spec.m, None),
+        ("real_mode", spec.real_mode, None),
+        ("kernel_dim", kd.dim, f"zero eigenvalue multiplicity: {kd.dim}"),
+        ("singular_values", kd.sigma.tolist(),
+         f"singular values of A0: {', '.join(f'{s:.6g}' for s in kd.sigma)}"),
+        ("kernel", kd.kernel,
+         _basis_lines("kernel basis (coefficients refer to these columns)", kd.kernel)),
+        ("left_kernel", kd.left_kernel, _basis_lines("left kernel basis", kd.left_kernel)),
+        ("averaged", kd.averaged, None),
+        ("solvability", kd.solvability, None),
+        ("solvability_sigma_min", kd.solvability_sigma_min,
+         f"solvability matrix sigma_min: {kd.solvability_sigma_min:.6g}"),
+        ("scale", scale, f"normalization scale: {scale:.6g}"),
+        ("K", cc.K, f"constants (normalized problem): K={cc.K:g} L={cc.L:.6g} "
+         f"omega0={cc.omega0:.6g}"),
+        ("L", cc.L, None),
+        ("omega0", cc.omega0, None),
     ]
-    lines += _basis_lines("kernel basis (coefficients refer to these columns)", kd.kernel)
-    lines += _basis_lines("left kernel basis", kd.left_kernel)
-    lines += [
-        f"solvability matrix sigma_min: {kd.solvability_sigma_min:.6g}",
-        f"normalization scale: {scale:.6g}",
-        f"constants (normalized problem): K={cc.K:g} L={cc.L:.6g} "
-        f"omega0={cc.omega0:.6g}",
-    ]
-    return doc, lines, True
+    return report, True
 
 
 def _cmd_expand(spec, args):
@@ -120,110 +109,94 @@ def _cmd_expand(spec, args):
     exp = expand(spec, args.order, kernel_data=kd)
     levels = [
         {
-            "mean": to_pairs(lev.mean),
-            "kernel_coeff": to_pairs(lev.kernel_coeff),
-            "oscillation": to_pairs(lev.osc.coeffs),
-            "harmonics": to_pairs(lev.harmonics.coeffs),
-            "forcing": to_pairs(lev.forcing),
+            "mean": lev.mean,
+            "kernel_coeff": lev.kernel_coeff,
+            "oscillation": lev.osc.coeffs,
+            "harmonics": lev.harmonics.coeffs,
+            "forcing": lev.forcing,
             "harmonic_mass": lev.harmonic_mass,
             "solvability_defect": lev.solvability_defect,
         }
         for lev in exp.levels
     ]
-    doc = {
-        "order": exp.order,
-        "kernel_dim": kd.dim,
-        "kernel": to_pairs(kd.kernel),
-        "leading": to_pairs(exp.leading),
-        "leading_defect": exp.leading_defect,
-        "levels": levels,
-    }
-    lines = [
-        f"expansion to order {exp.order} (kernel dim {kd.dim})",
-    ]
-    lines += _basis_lines("kernel basis (coefficients refer to these columns)", kd.kernel)
-    lines.append(f"leading kernel coefficients (O(omega) term): {_fmt_vec(exp.leading)}")
-    for k, lev in enumerate(exp.levels):
-        lines.append(
+    report = [
+        ("order", exp.order, f"expansion to order {exp.order} (kernel dim {kd.dim})"),
+        ("kernel_dim", kd.dim, None),
+        ("kernel", kd.kernel,
+         _basis_lines("kernel basis (coefficients refer to these columns)", kd.kernel)),
+        ("leading", exp.leading,
+         f"leading kernel coefficients (O(omega) term): {_fmt_vec(exp.leading)}"),
+        ("leading_defect", exp.leading_defect, None),
+        ("levels", levels, (
             f"order {k}: |mean|={safe_norm(lev.mean):.6g} "
             f"kernel_coeff={_fmt_vec(lev.kernel_coeff)} "
             f"harmonics={len(lev.osc.coeffs)} "
             f"defect={lev.solvability_defect:.3g}"
-        )
-    return doc, lines, True
+            for k, lev in enumerate(exp.levels)
+        )),
+    ]
+    return report, True
 
 
 def _cmd_evaluate(spec, args):
     exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
     t = np.linspace(0.0, period(args.omega), args.samples + 1)
     x = partial_sum(exp, args.order, args.omega, t)
-    doc = {
-        "omega": args.omega,
-        "order": args.order,
-        "t": [float(v) for v in t],
-        "x": to_pairs(x),
-    }
-    lines = [f"partial sum of order {args.order} at omega={args.omega:g} over one period"]
-    for ti, xi in zip(t, x):
-        lines.append(f"  t={ti:.9g}: {_fmt_vec(xi)}")
-    return doc, lines, True
+    report = [
+        ("omega", args.omega,
+         f"partial sum of order {args.order} at omega={args.omega:g} over one period"),
+        ("order", args.order, None),
+        ("t", t.tolist(), None),
+        ("x", x, (f"  t={ti:.9g}: {_fmt_vec(xi)}" for ti, xi in zip(t, x))),
+    ]
+    return report, True
 
 
 def _cmd_stability(spec, args):
     verdict = analyze_stability(spec, trunc=args.trunc, zero_tol=args.zero_tol)
-    doc = {
-        "trunc": verdict.trunc,
-        "zero_tol": verdict.zero_tol,
-        "series": {
-            "kind": verdict.kind,
-            "detail": verdict.detail,
-            "leaders": [
-                None if leader is None else [leader[0], leader[1]]
-                for leader in verdict.leaders
-            ],
-            "zero_ratios": list(verdict.zero_ratios),
-            "imag_ratio": verdict.imag_ratio,
-            "imag_tol": verdict.imag_tol,
-        },
+    series = {
+        "kind": verdict.kind,
+        "detail": verdict.detail,
+        "leaders": verdict.leaders,
+        "zero_ratios": verdict.zero_ratios,
+        "imag_ratio": verdict.imag_ratio,
+        "imag_tol": verdict.imag_tol,
     }
-    lines = [
-        f"series test (through 1/omega^{verdict.trunc}): {verdict.kind}",
-        f"  {verdict.detail}",
+    report = [
+        ("trunc", verdict.trunc, None),
+        ("zero_tol", verdict.zero_tol, None),
+        ("series", series, [
+            f"series test (through 1/omega^{verdict.trunc}): {verdict.kind}",
+            f"  {verdict.detail}",
+        ]),
     ]
+    head = f"multiplier test at omega={args.omega:g}"
     try:
         fv = floquet_verdict(spec, args.omega)
-        doc["floquet"] = {
-            "omega": args.omega,
-            "kind": fv.kind,
-            "margin": fv.margin,
-            "multipliers": to_pairs(fv.multipliers),
-        }
-        lines.append(
-            f"multiplier test at omega={args.omega:g}: {fv.kind} "
-            f"(max |multiplier| - 1 = {fv.margin:.3e})"
-        )
+        floquet = {"omega": args.omega, "kind": fv.kind, "margin": fv.margin,
+                   "multipliers": fv.multipliers}
+        report.append(("floquet", floquet,
+                       f"{head}: {fv.kind} (max |multiplier| - 1 = {fv.margin:.3e})"))
     except BoundaryUndecidable as exc:
-        doc["floquet"] = {"omega": args.omega, "kind": "Undecidable", "detail": str(exc)}
-        lines.append(f"multiplier test at omega={args.omega:g}: Undecidable ({exc})")
-    return doc, lines, True
+        floquet = {"omega": args.omega, "kind": "Undecidable", "detail": str(exc)}
+        report.append(("floquet", floquet, f"{head}: Undecidable ({exc})"))
+    return report, True
 
 
 def _cmd_slope(spec, args):
     exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
     rep = error_slope(spec, exp, args.order, args.omegas)
-    doc = {
-        "order": rep.order,
-        "omegas": list(rep.omegas),
-        "errors": list(rep.errors),
+    report = [
+        ("order", rep.order, f"order {rep.order} error against the reference solution:"),
+        ("omegas", list(rep.omegas), None),
+        ("errors", list(rep.errors),
+         (f"  omega={w:g}: {e:.6e}" for w, e in zip(rep.omegas, rep.errors))),
         # NaN when every error sits at rounding level (d = 0 gives x = 0).
-        "slope": None if math.isnan(rep.slope) else rep.slope,
-        "expected": -(rep.order + 1),
-    }
-    lines = [f"order {rep.order} error against the reference solution:"]
-    for w, e in zip(rep.omegas, rep.errors):
-        lines.append(f"  omega={w:g}: {e:.6e}")
-    lines.append(f"slope: {rep.slope:.3f} (expected about {-(rep.order + 1)})")
-    return doc, lines, True
+        ("slope", None if math.isnan(rep.slope) else rep.slope,
+         f"slope: {rep.slope:.3f} (expected about {-(rep.order + 1)})"),
+        ("expected", -(rep.order + 1), None),
+    ]
+    return report, True
 
 
 def _cmd_validate(spec, args):
@@ -297,18 +270,22 @@ def _cmd_validate(spec, args):
         below("averaging_routes_agree", a1, 1e-10)
 
     ok = all(c["ok"] for c in checks)
-    doc = {"omega": omega, "order": args.order, "ok": ok, "checks": checks}
-    lines = [
-        f"validation at order {args.order}, omega {omega:g} "
-        f"(asymptotic threshold omega0*scale = {cc.omega0 * scale:.6g}):"
+    report = [
+        ("omega", omega, f"validation at order {args.order}, omega {omega:g} "
+         f"(asymptotic threshold omega0*scale = {cc.omega0 * scale:.6g}):"),
+        ("order", args.order, None),
+        ("ok", ok, None),
+        ("checks", checks, [_check_line(c) for c in checks]
+         + ["all checks passed" if ok else "SOME CHECKS FAILED"]),
     ]
-    for c in checks:
-        mark = "ok  " if c["ok"] else "FAIL"
-        lines.append(f"  {mark} {c['name']}: {c['value']:.6g} (threshold {c['threshold']:g})"
-                     if isinstance(c["value"], float)
-                     else f"  {mark} {c['name']}: {c['value']}")
-    lines.append("all checks passed" if ok else "SOME CHECKS FAILED")
-    return doc, lines, ok
+    return report, ok
+
+
+def _check_line(c) -> str:
+    mark = "ok  " if c["ok"] else "FAIL"
+    if isinstance(c["value"], float):
+        return f"  {mark} {c['name']}: {c['value']:.6g} (threshold {c['threshold']:g})"
+    return f"  {mark} {c['name']}: {c['value']}"
 
 
 _COMMANDS = {
@@ -325,7 +302,8 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     """Execute one parsed command; returns (exit_code, report_text)."""
     try:
         spec = load_problem(args.path)
-        doc, lines, ok = _COMMANDS[args.command](spec, args)
+        report, ok = _COMMANDS[args.command](spec, args)
+        text = _render(report, args.format)
     except (NoKernelError, DegenerateError) as exc:
         return EXIT_DEGENERATE, f"error: {exc}"
     except NonUniqueError as exc:
@@ -335,14 +313,31 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     except MemoryError as exc:
         # numpy names the allocation that failed; a bare MemoryError has no text.
         return EXIT_INPUT, f"error: {str(exc) or 'out of memory'}"
-    if args.format == "text":
-        return (EXIT_OK if ok else EXIT_INPUT), "\n".join(lines)
+    return (EXIT_OK if ok else EXIT_INPUT), text
+
+
+def _render(report, fmt: str) -> str:
+    """Each command returns a report, a list of (key, value, text) entries.
+    The text report is the texts in entry order, each a line, an iterable
+    of lines (a generator runs only here) or None; the JSON report is
+    {key: value} in entry order."""
+    if fmt == "text":
+        return "\n".join(line for _, _, text in report
+                         for line in ([text] if isinstance(text, str) else text or ()))
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        doc = {key: value for key, value, _ in report}
+        return json.dumps(doc, indent=2, allow_nan=False, default=_array_pairs)
     except ValueError:
         # Backstop: a non-finite number no check caught is not valid JSON.
-        return EXIT_INPUT, "error: the report holds a non-finite number (floating-point overflow)"
-    return (EXIT_OK if ok else EXIT_INPUT), text
+        msg = "the report holds a non-finite number (floating-point overflow)"
+        raise NonFiniteError(msg) from None
+
+
+def _array_pairs(value):
+    """``json.dumps`` hook: an array as [re, im] pairs; nothing else encodes."""
+    if isinstance(value, np.ndarray):
+        return to_pairs(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _positive(text: str) -> float:
@@ -377,9 +372,10 @@ def _frequencies(text: str) -> tuple:
     return omegas
 
 
-# Largest --samples.  The report holds every sample: with --format json,
-# ``evaluate`` peaks at 0.23 GB resident for n = 3 and 1.2 GB for n = 24 at
-# 10^5 samples, against 0.05 and 0.15 GB at 10^4.
+# Largest --samples.  The report holds every sample: at 10^5 samples
+# ``evaluate`` peaks at 0.20 GB resident for n = 3 and 1.0 GB for n = 24 with
+# --format json (0.05 and 0.14 GB at 10^4), and at 0.06 and 0.11 GB with
+# --format text, which never builds the [re, im] pairs.
 MAX_SAMPLES = 100_000
 
 # Each flag once: the commands that take it, its parser and its default.

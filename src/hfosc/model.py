@@ -283,12 +283,6 @@ class TrigPoly:
         rates = 1j * np.arange(-self.H, self.H + 1)
         return TrigPoly._of(self._column(rates) * self.data)
 
-    def antiderivative(self) -> "TrigPoly":
-        """Zero-mean antiderivative; defined only for zero-mean polynomials."""
-        if np.any(self.mean()):
-            raise ValueError("antiderivative needs a zero-mean polynomial")
-        return TrigPoly._of(_integrated(self.data))
-
     def padded(self, H: int) -> np.ndarray:
         """Coefficient stack widened with zero rows to the bound H >= self.H."""
         out = np.zeros((2 * H + 1,) + self.shape, dtype=complex)

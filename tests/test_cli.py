@@ -1,13 +1,18 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hfosc.cli as cli
 from hfosc import fixtures
 from hfosc.averaging import DEFAULT_TRUNC, ZERO_TOL
 from hfosc.cli import MAX_SAMPLES, main
@@ -661,3 +666,59 @@ def test_validate_fails_a_level_perturbed_by_a_millionth_of_its_size(
     assert main(["validate", path, "--order", "13"]) == 1
     out = capsys.readouterr().out
     assert f"FAIL {check}" in out and out.count("  FAIL ") == 1
+
+
+# The layout of every report: each command with its default flags on each
+# fixture, in both formats, with every number masked, so that the golden
+# pins which fields are reported and in which order but not the digits that
+# the BLAS and the platform set.  Rewrite the golden with
+# ``PYTHONPATH=src python tests/test_cli.py``.
+LAYOUT = ROOT / "tests" / "cli_layout.json"
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+_LAYOUT_RUNS = [
+    (command, fixture, fmt)
+    for fixture in sorted(p.name for p in FIXTURES.glob("*.json"))
+    for command in ["analyze", "expand", "evaluate", "stability", "slope", "validate"]
+    for fmt in ["text", "json"]
+]
+
+
+def _masked_run(command, fixture, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(FIXTURES / fixture), "--format", fmt])
+    return {"argv": [command, fixture, "--format", fmt], "code": code,
+            "out": _NUMBER.sub("#", out.getvalue()), "err": _NUMBER.sub("#", err.getvalue())}
+
+
+@functools.cache
+def _layout_golden():
+    runs = json.loads(LAYOUT.read_text())
+    return {(run["argv"][0], run["argv"][1], run["argv"][3]): run for run in runs}
+
+
+@pytest.mark.parametrize("command, fixture, fmt", _LAYOUT_RUNS)
+def test_report_layout_matches_the_golden(command, fixture, fmt):
+    assert _masked_run(command, fixture, fmt) == _layout_golden()[command, fixture, fmt]
+
+
+def test_text_reports_build_no_pairs(monkeypatch, capsys):
+    def refuse(values):
+        raise AssertionError("to_pairs called for a text report")
+
+    monkeypatch.setattr(cli, "to_pairs", refuse)
+    assert main(["evaluate", str(FIXTURES / "random_n3_m1.json")]) == 0
+    assert "t=" in capsys.readouterr().out
+
+
+def test_json_hook_encodes_arrays_and_nothing_else():
+    doc = json.dumps({"x": np.array([1.0, 2j])}, default=cli._array_pairs)
+    assert json.loads(doc) == {"x": [[1.0, 0.0], [0.0, 2.0]]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        json.dumps({"ok": np.bool_(True)}, default=cli._array_pairs)
+
+
+if __name__ == "__main__":
+    LAYOUT.write_text(json.dumps([_masked_run(*run) for run in _LAYOUT_RUNS], indent=1) + "\n")
