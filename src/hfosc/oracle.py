@@ -23,12 +23,17 @@ x0 on the block's own steps.  The same map's ``apply`` gives the right side
 at states on arrays of times, which is how the integral-form defect of the
 sampled solution evaluates all Gauss nodes of a block of sample intervals
 at once, without forming the field at any of them.  ``periodic_solution``
-builds that map once and uses it for the pass and the defect.
+builds that map once, uses it for the pass, and keeps it with the
+interpolant in its result: the defect quadrature and the multipliers are
+computed only when a caller reads them, so a caller that needs only the
+samples and the period map never pays for either.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +104,12 @@ class PeriodicOracleSolution:
     state increment and the 10-point Gauss-Legendre quadrature of the right
     side along x: it holds the integration error and the quadrature error,
     which grows as the sample intervals widen.  Arrays are float64 for a
-    real system, complex otherwise.
+    real system, complex otherwise, and read-only.
+
+    ``ode_defect`` and ``multipliers`` are computed on first read, from the
+    interpolant and the field map that the result keeps, and then kept:
+    callers that read only the samples and the period map skip the
+    quadrature and the eigenvalue solve.
     """
 
     omega: float
@@ -108,16 +118,41 @@ class PeriodicOracleSolution:
     x: np.ndarray
     x0: np.ndarray
     monodromy: np.ndarray
-    multipliers: np.ndarray
     periodicity_defect: float
-    ode_defect: float
     unique_margin: float
+    _interpolant: object = dataclasses.field(repr=False)
+    _field: object = dataclasses.field(repr=False)
+
+    @cached_property
+    def multipliers(self) -> np.ndarray:
+        """Eigenvalues of the period map, complex also when all are real."""
+        mult = _multipliers(self.monodromy)
+        mult.setflags(write=False)
+        return mult
+
+    @cached_property
+    def ode_defect(self) -> float:
+        """Largest integral-form defect of the samples over their intervals,
+        with the Gauss nodes of ``_DEFECT_BLOCK`` intervals at a time."""
+        t, sol = self.t, self._interpolant
+        mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
+        steps = np.diff(self.x, axis=0)
+        defect = 0.0
+        for i in range(0, len(steps), _DEFECT_BLOCK):
+            block = slice(i, i + _DEFECT_BLOCK)
+            nodes = mids[block, None] + halves[block, None] * _GAUSS_X
+            slopes = self._field.apply(nodes, sol(nodes)[..., None])[..., 0]
+            increments = halves[block, None] * (_GAUSS_W @ slopes)
+            gaps = np.linalg.norm(steps[block] - increments, axis=1)
+            defect = max(defect, float(np.max(gaps)))
+        return defect
 
 
 def _fixed_point(field, T):
     """Phi, x0, sigma_min(I - Phi) and the interpolant of the periodic
     solution, all from one period pass with ``field``.  The pass's step
-    history is dropped on return, before the caller's defect quadrature."""
+    history is dropped on return; the interpolant keeps only its own
+    coefficients, one trajectory's worth per step."""
     n = field.shape[0]
     traj = _period_pass(field, T, dense=True)
     Phi, forced = traj.y[:, :n], traj.y[:, n]
@@ -136,9 +171,11 @@ def _fixed_point(field, T):
 def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> PeriodicOracleSolution:
     """The unique periodic solution, sampled over one period.
 
-    Raises ValueError unless n_samples is an integer >= 1, and
-    NonUniqueError when the period map has 1 as an eigenvalue to working
-    precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
+    One period pass, the fixed point and the samples; the ODE defect and
+    the multipliers wait until the result's properties are read.  Raises
+    ValueError unless n_samples is an integer >= 1, and NonUniqueError
+    when the period map has 1 as an eigenvalue to working precision, i.e.
+    sigma_min(I - Phi) <= UNIQUENESS_TOL.
     """
     T = period(omega)
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
@@ -148,19 +185,8 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
     t = np.linspace(0.0, T, n_samples + 1)
     x = sol(t)
     x[0] = x0
-    periodicity_defect = float(np.linalg.norm(x[-1] - x0))
-
-    mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
-    steps = np.diff(x, axis=0)
-    defect = 0.0
-    for i in range(0, n_samples, _DEFECT_BLOCK):
-        block = slice(i, i + _DEFECT_BLOCK)
-        nodes = mids[block, None] + halves[block, None] * _GAUSS_X
-        slopes = field.apply(nodes, sol(nodes)[..., None])[..., 0]
-        increments = halves[block, None] * (_GAUSS_W @ slopes)
-        gaps = np.linalg.norm(steps[block] - increments, axis=1)
-        defect = max(defect, float(np.max(gaps)))
-
+    for arr in (t, x, x0, Phi):
+        arr.setflags(write=False)
     return PeriodicOracleSolution(
         omega=float(omega),
         period=T,
@@ -168,10 +194,10 @@ def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> Periodi
         x=x,
         x0=x0,
         monodromy=Phi,
-        multipliers=_multipliers(Phi),
-        periodicity_defect=periodicity_defect,
-        ode_defect=defect,
+        periodicity_defect=float(np.linalg.norm(x[-1] - x0)),
         unique_margin=unique_margin,
+        _interpolant=sol,
+        _field=field,
     )
 
 

@@ -24,7 +24,7 @@ from hfosc.model import (
     parse_problem,
     serialize_problem,
 )
-from hfosc.oracle import periodic_solution
+from hfosc.oracle import PeriodicOracleSolution, periodic_solution
 from hfosc.spectral import averaged_matrix
 
 
@@ -273,16 +273,21 @@ def test_documents_round_trip_exactly(fields):
 
 
 def _fields_equal(a, b):
-    """Every field of two results equal to the bit; polynomials by their
-    coefficient stacks."""
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
+    """Every public field of two results equal to the bit, and a periodic
+    solution's ``ode_defect`` and ``multipliers``, which are computed on
+    first read; polynomials by their coefficient stacks.  Private fields,
+    such as a solution's interpolant, are skipped."""
+    names = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
+    if isinstance(a, PeriodicOracleSolution):
+        names += ["ode_defect", "multipliers"]
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, TrigPoly):
             x, y = x.data, y.data
         if isinstance(x, (tuple, str)) or x is None:
-            assert x == y, field.name
+            assert x == y, name
         else:
-            assert np.array_equal(x, y), field.name
+            assert np.array_equal(x, y), name
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hfosc import dop853, fixtures
+from hfosc import dop853, fixtures, oracle
 from hfosc.errors import BoundaryUndecidable, NonFiniteError, NonUniqueError
 from hfosc.expansion import expand
 from hfosc.model import ProblemSpec
@@ -213,6 +213,54 @@ def test_periodic_solution_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 3.5e6
+
+
+def test_diagnostics_are_computed_on_first_read(monkeypatch):
+    # A solution evaluates its interpolant once, on the sample grid; the
+    # defect quadrature (4 blocks of 64 intervals x 10 Gauss nodes at the
+    # default 256 samples) and the eigenvalue solve wait for a read, and a
+    # second read reuses the first.
+    calls, eig = [], []
+    interpolate, multipliers = dop853.DenseOutput.__call__, oracle._multipliers
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return interpolate(self, t)
+
+    def counted_eig(Phi):
+        eig.append(Phi.shape)
+        return multipliers(Phi)
+
+    monkeypatch.setattr(dop853.DenseOutput, "__call__", counted)
+    monkeypatch.setattr(oracle, "_multipliers", counted_eig)
+    spec = fixtures.random_admissible(seed=2, n=3, m=1)
+    ps = periodic_solution(spec, 80.0)
+    assert calls == [(257,)] and eig == []
+    defect = ps.ode_defect
+    assert calls[1:] == [(64, 10)] * 4
+    assert ps.ode_defect == defect and len(calls) == 5
+    assert ps.multipliers is ps.multipliers and eig == [(3, 3)]
+
+    # The slope reads only samples: no quadrature whether it integrates
+    # the frequencies itself or is handed their solutions.
+    exp = expand(spec, order=1)
+    omegas = (100.0, 200.0)
+    calls.clear()
+    error_slope(spec, exp, 1, omegas)
+    assert calls == [(257,)] * len(omegas)
+    solutions = {w: periodic_solution(spec, w) for w in omegas}
+    calls.clear()
+    error_slope(spec, exp, 1, omegas, solutions=solutions)
+    assert calls == [] and eig == [(3, 3)]
+
+
+def test_solution_arrays_are_read_only():
+    # The diagnostics read t, x and the period map later, so nothing may
+    # change them in between.
+    ps = periodic_solution(fixtures.random_admissible(seed=2, n=3, m=1), 80.0, 16)
+    for name in ("t", "x", "x0", "monodromy", "multipliers"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ps, name)[0] = 0.0
 
 
 @pytest.mark.parametrize("n_samples", [0, -1, True, 2.5, "8", None])
