@@ -26,7 +26,9 @@ at once, without forming the field at any of them.  ``periodic_solution``
 builds that map once, uses it for the pass, and keeps it with the
 interpolant in its result: the defect quadrature and the multipliers are
 computed only when a caller reads them, so a caller that needs only the
-samples and the period map never pays for either.
+samples and the period map never pays for either.  The defect's Gauss
+nodes are built when ``ode_defect`` is first read, so importing this module
+does not load ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ UNIQUENESS_TOL = 1e-10
 
 # Multipliers within this distance of the unit circle count as "on" it.
 UNIT_BAND = 1e-8
-
-# Nodes for the per-interval integral-form defect of the sampled solution.
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(10)
 
 # Sample intervals whose defect nodes are evaluated together; bounds the
 # (intervals x nodes x terms x n) temporaries of the contracted right side.
@@ -134,15 +133,16 @@ class PeriodicOracleSolution:
     def ode_defect(self) -> float:
         """Largest integral-form defect of the samples over their intervals,
         with the Gauss nodes of ``_DEFECT_BLOCK`` intervals at a time."""
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
         t, sol = self.t, self._interpolant
         mids, halves = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
         steps = np.diff(self.x, axis=0)
         defect = 0.0
         for i in range(0, len(steps), _DEFECT_BLOCK):
             block = slice(i, i + _DEFECT_BLOCK)
-            nodes = mids[block, None] + halves[block, None] * _GAUSS_X
+            nodes = mids[block, None] + halves[block, None] * gauss_x
             slopes = self._field.apply(nodes, sol(nodes)[..., None])[..., 0]
-            increments = halves[block, None] * (_GAUSS_W @ slopes)
+            increments = halves[block, None] * (gauss_w @ slopes)
             gaps = np.linalg.norm(steps[block] - increments, axis=1)
             defect = max(defect, float(np.max(gaps)))
         return defect

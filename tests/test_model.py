@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from hfosc.model import (
     _side_by_side,
     _times,
     _times_left,
+    load_problem,
     parse_problem,
     serialize_problem,
 )
 from hfosc.oracle import PeriodicOracleSolution, periodic_solution
 from hfosc.spectral import averaged_matrix
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _base_doc():
@@ -41,17 +45,21 @@ def _base_doc():
 
 
 def test_round_trip_canonical_fixtures():
-    for spec in (
-        fixtures.borderline_stable(),
-        fixtures.borderline_unstable(),
-        fixtures.forced_borderline(),
-        fixtures.degenerate_example(),
-        fixtures.scalar_decay(),
+    for name, make in (
+        ("borderline_stable", fixtures.borderline_stable),
+        ("borderline_unstable", fixtures.borderline_unstable),
+        ("forced_borderline", fixtures.forced_borderline),
+        ("degenerate", fixtures.degenerate_example),
+        ("scalar_decay", fixtures.scalar_decay),
     ):
+        spec = make()
         doc = serialize_problem(spec)
         assert parse_problem(doc) == spec
         # and through actual JSON text, which is how documents travel
         assert parse_problem(json.loads(json.dumps(doc))) == spec
+        # The JSON fixture is its Python twin: the CLI reads the one and the
+        # library callers build the other.
+        assert load_problem(FIXTURES / f"{name}.json") == spec, name
 
 
 def test_round_trip_random_instances():
