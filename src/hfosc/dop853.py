@@ -275,9 +275,10 @@ MAX_FACTOR = 10.0
 _EXPONENT = -1.0 / 8.0
 
 # Accepted steps after which a run gives up.  The benchmark's passes take at
-# most 44 and a slowly decaying scalar at omega = 1e-3 about 8,000; only an
-# omega near 0 needs more (some 1e300 at 1e-300, the step bound by stability).
-MAX_STEPS = 100_000
+# most 44 and a slowly decaying scalar at omega = 1e-3 about 8,000; an omega
+# that needs more (18,000 at 3e-4, some 1e300 at 1e-300, the step bound by
+# stability) fails in a fraction of a second instead of running on.
+MAX_STEPS = 10_000
 
 
 def _rms(v) -> float:

@@ -16,19 +16,17 @@ the ``Sampler`` that ``ProblemSpec.field_map(omega, omega)`` returns, with
 B0/omega folded in once per frequency: the field grid on the stage times of
 each attempted step, and ``Sampler.apply`` for every other right side.  A
 real system is integrated in float64 throughout.  That one pass per
-frequency gives the period map, x0, and the periodic solution, read from
-the block's dense output contracted with z = [x0; 1] (``Trajectory.along``).
-Runge-Kutta steps are linear in the state, so that is the trajectory from
-x0 on the block's own steps.  The same map's ``apply`` gives the right side
-at states on arrays of times, which is how the integral-form defect of the
-sampled solution evaluates all Gauss nodes of a block of sample intervals
-at once, without forming the field at any of them.  ``periodic_solution``
-builds that map once, uses it for the pass, and keeps it with the
-interpolant in its result: the defect quadrature and the multipliers are
-computed only when a caller reads them, so a caller that needs only the
-samples and the period map never pays for either.  The defect's Gauss
-nodes are built when ``ode_defect`` is first read, so importing this module
-does not load ``numpy.polynomial``.
+frequency gives the period map, x0, and the periodic solution on SAMPLES
+intervals, read from the block's dense output contracted with z = [x0; 1]
+(``Trajectory.along``).  Runge-Kutta steps are linear in the state, so that
+is the trajectory from x0 on the block's own steps.  The same map's
+``apply`` gives the right side at states on arrays of times, which is how
+the integral-form defect of the sampled solution evaluates all Gauss nodes
+of a block of sample intervals at once, without forming the field at any
+of them.  ``periodic_solution`` keeps that map with the interpolant in its
+result, and the defect quadrature runs only when ``ode_defect`` is read:
+a caller that needs only the samples and the period map never pays for it,
+and importing this module does not load ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -51,6 +49,9 @@ UNIQUENESS_TOL = 1e-10
 
 # Multipliers within this distance of the unit circle count as "on" it.
 UNIT_BAND = 1e-8
+
+# Sample intervals of the periodic solution over one period.
+SAMPLES = 256
 
 # Sample intervals whose defect nodes are evaluated together; bounds the
 # (intervals x nodes x terms x n) temporaries of the contracted right side.
@@ -85,49 +86,35 @@ def _period_pass(field, T, dense=False):
     return solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=dense)
 
 
-def _multipliers(Phi) -> np.ndarray:
-    """Eigenvalues of the period map, complex also when all are real."""
-    return np.linalg.eigvals(Phi).astype(complex)
-
-
 @dataclass(frozen=True, eq=False)
 class PeriodicOracleSolution:
     """Sampled periodic solution plus the period-map diagnostics.
 
-    ``t`` holds n_samples + 1 equispaced times covering one closed period,
+    ``t`` holds SAMPLES + 1 equispaced times covering one closed period,
     ``x`` the states at those times: the dense output of the period pass
-    from [I | 0], contracted with [x0; 1].  ``periodicity_defect`` is the
-    closure |x(T) - x0| of that trajectory, so it is the residual of the
-    solve (I - Phi) x0 = v, not a test of the integration.  That test is
-    ``ode_defect``, the largest gap, over the sample intervals, between the
-    state increment and the 10-point Gauss-Legendre quadrature of the right
-    side along x: it holds the integration error and the quadrature error,
-    which grows as the sample intervals widen.  Arrays are float64 for a
-    real system, complex otherwise, and read-only.
+    from [I | 0], contracted with [x0; 1], where x0 = x[0] is the fixed
+    point.  ``periodicity_defect`` is the closure |x(T) - x(0)| of that
+    trajectory, so it is the residual of the solve (I - Phi) x0 = v, not a
+    test of the integration.  That test is ``ode_defect``, the largest gap,
+    over the sample intervals, between the state increment and the 10-point
+    Gauss-Legendre quadrature of the right side along x: it holds the
+    integration error and the quadrature error, which grows as the sample
+    intervals widen.  Arrays are float64 for a real system, complex
+    otherwise, and read-only.
 
-    ``ode_defect`` and ``multipliers`` are computed on first read, from the
-    interpolant and the field map that the result keeps, and then kept:
-    callers that read only the samples and the period map skip the
-    quadrature and the eigenvalue solve.
+    ``ode_defect`` is computed on first read, from the interpolant and the
+    field map that the result keeps, and then kept: callers that read only
+    the samples and the period map skip the quadrature.
     """
 
-    omega: float
     period: float
     t: np.ndarray
     x: np.ndarray
-    x0: np.ndarray
     monodromy: np.ndarray
     periodicity_defect: float
     unique_margin: float
     _interpolant: object = dataclasses.field(repr=False)
     _field: object = dataclasses.field(repr=False)
-
-    @cached_property
-    def multipliers(self) -> np.ndarray:
-        """Eigenvalues of the period map, complex also when all are real."""
-        mult = _multipliers(self.monodromy)
-        mult.setflags(write=False)
-        return mult
 
     @cached_property
     def ode_defect(self) -> float:
@@ -148,15 +135,20 @@ class PeriodicOracleSolution:
         return defect
 
 
-def _fixed_point(field, T):
-    """Phi, x0, sigma_min(I - Phi) and the interpolant of the periodic
-    solution, all from one period pass with ``field``.  The pass's step
-    history is dropped on return; the interpolant keeps only its own
-    coefficients, one trajectory's worth per step."""
-    n = field.shape[0]
+def periodic_solution(spec: ProblemSpec, omega) -> PeriodicOracleSolution:
+    """The unique periodic solution at SAMPLES + 1 times over one period.
+
+    One period pass with one field map ends at [Phi | v]; x0 solves
+    (I - Phi) x0 = v, and the samples are the pass's dense output contracted
+    with [x0; 1], an interpolant that keeps one trajectory's worth per step.
+    Raises NonUniqueError when the period map has 1 as an eigenvalue to
+    working precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
+    """
+    T = period(omega)
+    field = spec.field_map(omega, omega)
     traj = _period_pass(field, T, dense=True)
-    Phi, forced = traj.y[:, :n], traj.y[:, n]
-    gap = np.eye(n) - Phi
+    Phi, forced = traj.y[:, :-1], traj.y[:, -1]
+    gap = np.eye(spec.n) - Phi
     unique_margin = float(np.linalg.svd(gap, compute_uv=False)[-1])
     if unique_margin <= UNIQUENESS_TOL:
         raise NonUniqueError(
@@ -165,36 +157,19 @@ def _fixed_point(field, T):
             f"the periodic solution is not unique"
         )
     x0 = np.linalg.solve(gap, forced)
-    return Phi, x0, unique_margin, traj.along(np.append(x0, 1.0))
-
-
-def periodic_solution(spec: ProblemSpec, omega, n_samples: int = 256) -> PeriodicOracleSolution:
-    """The unique periodic solution, sampled over one period.
-
-    One period pass, the fixed point and the samples; the ODE defect and
-    the multipliers wait until the result's properties are read.  Raises
-    ValueError unless n_samples is an integer >= 1, and NonUniqueError
-    when the period map has 1 as an eigenvalue to working precision, i.e.
-    sigma_min(I - Phi) <= UNIQUENESS_TOL.
-    """
-    T = period(omega)
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    field = spec.field_map(omega, omega)
-    Phi, x0, unique_margin, sol = _fixed_point(field, T)
-    t = np.linspace(0.0, T, n_samples + 1)
+    sol = traj.along(np.append(x0, 1.0))
+    del traj  # frees the step history before the samples are formed
+    t = np.linspace(0.0, T, SAMPLES + 1)
     x = sol(t)
     x[0] = x0
-    for arr in (t, x, x0, Phi):
+    for arr in (t, x, Phi):
         arr.setflags(write=False)
     return PeriodicOracleSolution(
-        omega=float(omega),
         period=T,
         t=t,
         x=x,
-        x0=x0,
         monodromy=Phi,
-        periodicity_defect=float(np.linalg.norm(x[-1] - x0)),
+        periodicity_defect=float(np.linalg.norm(x[-1] - x[0])),
         unique_margin=unique_margin,
         _interpolant=sol,
         _field=field,
@@ -218,7 +193,7 @@ def floquet_verdict(spec: ProblemSpec, omega) -> FloquetVerdict:
     resolution of the computed period map.
     """
     Phi = monodromy(spec, omega)
-    mult = _multipliers(Phi)
+    mult = np.linalg.eigvals(Phi).astype(complex)
     margin = float(np.max(np.abs(mult)) - 1.0)
     if margin > UNIT_BAND:
         return FloquetVerdict(kind="Unstable", margin=margin, multipliers=mult)

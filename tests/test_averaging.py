@@ -481,6 +481,16 @@ def test_inexact_characteristic_series_gives_no_verdict():
     assert "alpha_40" in verdict.detail and "above zero_tol 1e-09" in verdict.detail
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the series test on the full n = 32 polynomial falls back to "
+    "Inconclusive; splitting A(eps) at A0's zero eigenvalue must classify these as built"))
+@pytest.mark.parametrize("stable", [True, False])
+@pytest.mark.parametrize("seed", range(3))
+def test_constructed_n32_classifies_as_built(seed, stable):
+    verdict = analyze_stability(problems.constructed([seed, 9, 32], 32, 2, 2, stable))
+    assert verdict.kind == ("Stable" if stable else "Unstable")
+
+
 def test_rounding_in_real_minors_gives_no_verdict():
     # Real system, real minors in exact arithmetic; at trunc 38 rounding
     # leaves imaginary parts of 4e-6 of their scale, where classify raises.

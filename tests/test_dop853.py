@@ -95,9 +95,9 @@ def test_period_map_and_periodic_solution_match_scipy(n, m):
     assert _rel(monodromy(spec, omega), ref.y[:, -1].reshape(n, n + 1)[:, :n]) < 1e-11
 
     ps = periodic_solution(spec, omega)
-    ref = _reference(spec, omega, ps.x0, T, dense=True)
+    ref = _reference(spec, omega, ps.x[0], T, dense=True)
     want = ref.sol(ps.t).T
-    want[0] = ps.x0
+    want[0] = ps.x[0]
     assert _rel(ps.x, want) < 1e-11
 
 

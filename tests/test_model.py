@@ -282,12 +282,12 @@ def test_documents_round_trip_exactly(fields):
 
 def _fields_equal(a, b):
     """Every public field of two results equal to the bit, and a periodic
-    solution's ``ode_defect`` and ``multipliers``, which are computed on
-    first read; polynomials by their coefficient stacks.  Private fields,
-    such as a solution's interpolant, are skipped."""
+    solution's ``ode_defect``, which is computed on first read; polynomials
+    by their coefficient stacks.  Private fields, such as a solution's
+    interpolant, are skipped."""
     names = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
     if isinstance(a, PeriodicOracleSolution):
-        names += ["ode_defect", "multipliers"]
+        names.append("ode_defect")
     for name in names:
         x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, TrigPoly):
@@ -325,7 +325,7 @@ def test_results_do_not_depend_on_the_order_of_harmonic_keys(data):
     for a, b in zip(got.levels, want.levels, strict=True):
         _fields_equal(a, b)
     _fields_equal(analyze_stability(twin), analyze_stability(spec))
-    _fields_equal(periodic_solution(twin, 50.0, 16), periodic_solution(spec, 50.0, 16))
+    _fields_equal(periodic_solution(twin, 50.0), periodic_solution(spec, 50.0))
 
 
 def test_complex_mode_requires_pairs():

@@ -25,19 +25,16 @@ def test_scalar_relaxation_closed_form():
     spec = fixtures.scalar_decay()
     omega = 3.0
     T = 2 * np.pi / omega
-    # The defect quadrature runs over blocks of 64 sample intervals: 1 and 7
-    # fit in one short block, 100 ends with a short one, 256 fills them all.
-    for n_samples in (1, 7, 100, 256):
-        ps = periodic_solution(spec, omega, n_samples=n_samples)
-        assert ps.t.shape == ps.x[:, 0].shape == (n_samples + 1,)
-        closed = 1.0 + (np.cos(omega * ps.t) + omega * np.sin(omega * ps.t)) / (
-            1.0 + omega**2
-        )
-        assert np.allclose(ps.x[:, 0], closed, atol=1e-10)
-        assert ps.multipliers[0] == pytest.approx(math.exp(-T), abs=1e-10)
-        assert ps.unique_margin == pytest.approx(1.0 - math.exp(-T), abs=1e-10)
-        assert ps.periodicity_defect < 1e-10
-        assert ps.ode_defect < 1e-10, n_samples
+    ps = periodic_solution(spec, omega)
+    assert ps.t.shape == ps.x[:, 0].shape == (oracle.SAMPLES + 1,) == (257,)
+    closed = 1.0 + (np.cos(omega * ps.t) + omega * np.sin(omega * ps.t)) / (
+        1.0 + omega**2
+    )
+    assert np.allclose(ps.x[:, 0], closed, atol=1e-10)
+    assert np.linalg.eigvals(ps.monodromy)[0] == pytest.approx(math.exp(-T), abs=1e-10)
+    assert ps.unique_margin == pytest.approx(1.0 - math.exp(-T), abs=1e-10)
+    assert ps.periodicity_defect < 1e-10
+    assert ps.ode_defect < 1e-10
     verdict = floquet_verdict(spec, omega)
     assert verdict.kind == "Stable"
     assert verdict.margin == pytest.approx(math.exp(-T) - 1.0, abs=1e-10)
@@ -146,32 +143,34 @@ def test_unit_multiplier_raises_nonunique():
 def test_periodic_solution_invariants():
     spec = fixtures.random_admissible(seed=2, n=3, m=1)
     omega = 80.0
-    ps = periodic_solution(spec, omega, n_samples=128)
-    assert ps.t.shape == (129,)
-    assert ps.x.shape == (129, 3)
+    ps = periodic_solution(spec, omega)
+    assert ps.t.shape == (257,)
+    assert ps.x.shape == (257, 3)
     assert ps.period == pytest.approx(2 * np.pi / omega)
-    assert np.array_equal(ps.x[0], ps.x0)
     scale = float(np.max(np.abs(ps.x)))
-    assert np.linalg.norm(ps.x[-1] - ps.x0) <= ps.periodicity_defect + 1e-15
+    assert np.linalg.norm(ps.x[-1] - ps.x[0]) <= ps.periodicity_defect + 1e-15
     assert ps.periodicity_defect < 1e-8 * max(1.0, scale)
     assert ps.ode_defect < 1e-8 * max(1.0, scale)
     assert ps.unique_margin > 1e-10
     assert np.allclose(
-        np.sort(ps.multipliers), np.sort(np.linalg.eigvals(ps.monodromy)), atol=1e-12
+        np.sort(floquet_verdict(spec, omega).multipliers),
+        np.sort(np.linalg.eigvals(ps.monodromy)),
+        atol=1e-12,
     )
 
 
 def test_real_systems_give_conjugate_multipliers():
     spec = fixtures.random_admissible(seed=4, n=4, m=1, s=2)
-    ps = periodic_solution(spec, 60.0, n_samples=32)
+    ps = periodic_solution(spec, 60.0)
     # Real arithmetic throughout: float64 states and period map, and
     # eigenvalues of a real matrix come in exact conjugate pairs.
-    assert ps.x.dtype == ps.x0.dtype == ps.monodromy.dtype == np.float64
+    assert ps.x.dtype == ps.monodromy.dtype == np.float64
     assert monodromy(spec, 60.0).dtype == np.float64
-    assert ps.multipliers.dtype == np.complex128
-    assert np.any(ps.multipliers.imag != 0)
+    multipliers = floquet_verdict(spec, 60.0).multipliers
+    assert multipliers.dtype == np.complex128
+    assert np.any(multipliers.imag != 0)
     assert np.array_equal(
-        np.sort_complex(ps.multipliers), np.sort_complex(np.conj(ps.multipliers))
+        np.sort_complex(multipliers), np.sort_complex(np.conj(multipliers))
     )
 
 
@@ -217,29 +216,22 @@ def test_periodic_solution_memory_stays_flat():
 
 def test_diagnostics_are_computed_on_first_read(monkeypatch):
     # A solution evaluates its interpolant once, on the sample grid; the
-    # defect quadrature (4 blocks of 64 intervals x 10 Gauss nodes at the
-    # default 256 samples) and the eigenvalue solve wait for a read, and a
-    # second read reuses the first.
-    calls, eig = [], []
-    interpolate, multipliers = dop853.DenseOutput.__call__, oracle._multipliers
+    # defect quadrature (4 blocks of 64 intervals x 10 Gauss nodes on the
+    # 256 samples) waits for a read, and a second read reuses the first.
+    calls = []
+    interpolate = dop853.DenseOutput.__call__
 
     def counted(self, t):
         calls.append(np.shape(t))
         return interpolate(self, t)
 
-    def counted_eig(Phi):
-        eig.append(Phi.shape)
-        return multipliers(Phi)
-
     monkeypatch.setattr(dop853.DenseOutput, "__call__", counted)
-    monkeypatch.setattr(oracle, "_multipliers", counted_eig)
     spec = fixtures.random_admissible(seed=2, n=3, m=1)
     ps = periodic_solution(spec, 80.0)
-    assert calls == [(257,)] and eig == []
+    assert calls == [(257,)]
     defect = ps.ode_defect
     assert calls[1:] == [(64, 10)] * 4
     assert ps.ode_defect == defect and len(calls) == 5
-    assert ps.multipliers is ps.multipliers and eig == [(3, 3)]
 
     # The slope reads only samples: no quadrature whether it integrates
     # the frequencies itself or is handed their solutions.
@@ -251,24 +243,16 @@ def test_diagnostics_are_computed_on_first_read(monkeypatch):
     solutions = {w: periodic_solution(spec, w) for w in omegas}
     calls.clear()
     error_slope(spec, exp, 1, omegas, solutions=solutions)
-    assert calls == [] and eig == [(3, 3)]
+    assert calls == []
 
 
 def test_solution_arrays_are_read_only():
     # The diagnostics read t, x and the period map later, so nothing may
     # change them in between.
-    ps = periodic_solution(fixtures.random_admissible(seed=2, n=3, m=1), 80.0, 16)
-    for name in ("t", "x", "x0", "monodromy", "multipliers"):
+    ps = periodic_solution(fixtures.random_admissible(seed=2, n=3, m=1), 80.0)
+    for name in ("t", "x", "monodromy"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(ps, name)[0] = 0.0
-
-
-@pytest.mark.parametrize("n_samples", [0, -1, True, 2.5, "8", None])
-def test_periodic_solution_needs_a_positive_integer_sample_count(n_samples):
-    spec = fixtures.random_admissible(seed=1, n=3, m=1)
-    with pytest.raises(ValueError, match="n_samples"):
-        periodic_solution(spec, 50.0, n_samples=n_samples)
-    assert len(periodic_solution(spec, 50.0, n_samples=np.int64(3)).t) == 4
 
 
 def test_floquet_separates_the_borderline_pair():
