@@ -30,8 +30,7 @@ from .errors import (
 )
 from .expansion import expand, partial_sum, safe_norm
 from .model import load_problem, to_pairs
-from .oracle import INTEGRATOR_TOL, UNIQUENESS_TOL
-from .oracle import error_slope, floquet_verdict, period, periodic_solution
+from .oracle import INTEGRATOR_TOL, error_slope, floquet_verdict, period, periodic_solution
 from .spectral import RANK_TOL, compute_kernel_data
 
 EXIT_OK = 0
@@ -251,7 +250,7 @@ def _cmd_validate(spec, args):
     ps = periodic_solution(spec, omega)
     below("oracle_periodicity", ps.periodicity_defect, DEFECT_TOL)
     below("oracle_ode_defect", ps.ode_defect, DEFECT_TOL)
-    above("oracle_unique_margin", ps.unique_margin, UNIQUENESS_TOL)
+    above("oracle_unique_margin", ps.unique_margin, ps.unique_threshold)
     S = partial_sum(exp, args.order, omega, ps.t)
     err = float(np.max(np.linalg.norm(ps.x - S, axis=1)))
     # Two honest error sources: the truncated tail, and the reference

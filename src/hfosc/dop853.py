@@ -35,10 +35,11 @@ interpreter, not arithmetic, bounds the cost of a step at these sizes.
 
 Every stage is linear in the state, so the steps of the block, contracted
 with z = [x0; 1], are the steps of the trajectory Y(t) z from x0, which
-solves y' = M y + f.  The dense output is formed that way: the run keeps
-the stages the interpolant reads and the field, and ``Trajectory.along(z)``
-contracts the stages before it forms the three extra stages with
-``field.apply``, at the cost of one trajectory.
+solves y' = M y + f.  The dense output is formed that way: every run keeps
+one history, per accepted step the state at its start and the stages the
+interpolant reads, and ``Trajectory.along(z)`` contracts each step's record
+before it forms the three extra stages with ``field.apply``, at the cost of
+one trajectory.
 
 Step-size control, as in DOP853: the error norm combines the order-5 and
 order-3 estimates; a step is accepted when that norm is below 1, and the
@@ -228,7 +229,7 @@ _C_STEP = C[1 : STAGES + 1]
 # Dense output: the order-7 interpolant over a step has seven coefficient
 # rows; the first three come from the end values and slopes, these four
 # from all 16 stages (Hairer's d4*..d7*).  Stages 1..4 enter neither these
-# rows nor the extra stages, so a dense run keeps only the others.
+# rows nor the extra stages, so a run keeps only the others.
 D = np.zeros((4, len(C)))
 D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
     (
@@ -266,7 +267,9 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = (
 )
 
 _KEPT = np.array([0, 5, 6, 7, 8, 9, 10, 11, 12])
-_KEPT_ROWS = 1 + _KEPT  # their rows in the step buffer of ``solve``
+# The rows of the step buffer of ``solve`` that a run records per step: the
+# state at the step's start, then the kept stages.
+_HISTORY_ROWS = np.array([0, *(1 + _KEPT)])
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -289,9 +292,10 @@ def _rms(v) -> float:
 class DenseOutput:
     """The order-7 interpolant of one trajectory over every step of a run.
 
-    ``t`` holds the increasing step boundaries, ``y`` the states there,
-    ``coeffs`` the seven coefficient rows of each step's interpolant.
-    """
+    ``t`` holds the increasing step boundaries, ``y`` the states there as
+    columns, ``coeffs`` the seven coefficient rows of each step's
+    interpolant as (7, n, steps): points last, so Horner runs on rows of
+    points, not of n."""
 
     t: np.ndarray
     y: np.ndarray
@@ -304,55 +308,55 @@ class DenseOutput:
         # The step of each time, counting only interior boundaries: times
         # before the first or after the last step belong to that step.
         seg = np.searchsorted(self.t[1:-1], t, side="right")
-        x = ((t - self.t[seg]) / (self.t[seg + 1] - self.t[seg]))[..., None]
-        coeffs = self.coeffs[seg]
+        x = (t - self.t[seg]) / (self.t[seg + 1] - self.t[seg])
+        coeffs = np.take(self.coeffs, seg, axis=-1)
         factors = (x, 1 - x)
-        out = coeffs[..., 6, :] * x
+        out = coeffs[6] * x
         for i in range(1, 7):
-            out += coeffs[..., 6 - i, :]
+            out += coeffs[6 - i]
             out *= factors[i % 2]
-        out += self.y[seg]
-        return out
+        out += np.take(self.y, seg, axis=-1)
+        return np.moveaxis(out, 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Result of ``solve``: the accepted step boundaries ``t``, the block
-    ``y`` = [Phi | v] at the last of them and the run's ``field``.  A dense
-    run also keeps what ``along`` reads, the ``blocks`` at every boundary and
-    the ``stages`` of each step that the interpolant reads (0 and 5..12);
-    other runs keep neither.  Lists, not stacked arrays: stacking would copy
-    the whole history."""
+    ``y`` = [Phi | v] at the last of them, the run's ``field`` and its
+    ``history``, per step the block at its start and the stages 0 and 5..12
+    that ``along`` reads; a list, as stacking would copy it whole."""
 
     t: np.ndarray
     y: np.ndarray
     field: Sampler
-    blocks: list | None = None
-    stages: list | None = None
+    history: list
 
     def along(self, z) -> DenseOutput:
         """The interpolant of the trajectory Y(t) z on this run's steps, for
         z = [x0; 1]: ``field.apply`` adds the forcing with weight 1, as the
-        trajectory y' = M y + f from x0 has it.  Needs a dense run.
+        trajectory y' = M y + f from x0 has it.
 
-        The kept stages are contracted with z first, so the extra stages and
-        the coefficients are formed for one vector per step."""
+        Each step's record is contracted with z first, so the extra stages
+        and the coefficients are formed for one vector per step."""
         z = np.asarray(z)
-        y = np.stack([Y @ z for Y in self.blocks])
+        rows = np.stack([rec @ z for rec in self.history])
+        y = np.concatenate([rows[:, 0], (self.y @ z)[None]])
         h = np.diff(self.t)
         K = np.zeros((len(h), len(C), y.shape[1]), dtype=np.result_type(y, self.field.coeffs))
-        K[:, _KEPT] = np.stack([k @ z for k in self.stages])
+        K[:, _KEPT] = rows[:, 1:]
         hv = h[:, None]
         for s in range(STAGES + 1, len(C)):
             stage = y[:-1] + hv * (A[s, :s] @ K[:, :s])
             K[:, s] = self.field.apply(self.t[:-1] + C[s] * h, stage[..., None])[..., 0]
-        dy = np.diff(y, axis=0)
-        f_old, f_new = K[:, 0], K[:, STAGES]
-        coeffs = np.empty((len(h), 7, dy.shape[1]), dtype=K.dtype)
-        coeffs[:, 0] = dy
-        coeffs[:, 1] = hv * f_old - dy
-        coeffs[:, 2] = 2 * dy - hv * (f_new + f_old)
-        coeffs[:, 3:] = h[:, None, None] * (D @ K)
+        # Points last, contiguous for ``np.take``: states as columns.
+        y = np.ascontiguousarray(y.T)
+        dy = np.diff(y)
+        f_old, f_new = K[:, 0].T, K[:, STAGES].T
+        coeffs = np.empty((7,) + dy.shape, dtype=K.dtype)
+        coeffs[0] = dy
+        coeffs[1] = h * f_old - dy
+        coeffs[2] = 2 * dy - h * (f_new + f_old)
+        coeffs[3:] = h * (D @ K).transpose(1, 2, 0)
         return DenseOutput(t=self.t, y=y, coeffs=coeffs)
 
 
@@ -373,15 +377,14 @@ def _initial_step(field, y0, f0, t1, max_step, tol) -> float:
     return min(100 * h0, h1, t1, max_step)
 
 
-def solve(field: Sampler, t1: float, *, tol: float, max_step: float,
-          dense: bool = False) -> Trajectory:
+def solve(field: Sampler, t1: float, *, tol: float, max_step: float) -> Trajectory:
     """Integrate Y' = M(t) Y + f(t) e^T from Y(0) = [I | 0] to a finite
     t1 > 0, each step within ``tol`` relative and absolute: the run ends at
     [Phi(t1) | v(t1)].
 
     ``field`` is the ``Sampler`` of [M | f], of shape (n, n + 1), in time:
     ``ProblemSpec.field_map(omega, omega)``.  The block takes the dtype of
-    the field's coefficients.  ``dense`` keeps the history that
+    the field's coefficients; the run keeps the history that
     ``Trajectory.along`` reads.  Raises StepFailure when the step size falls
     below 10 floating-point spacings at the current time, or when MAX_STEPS
     steps fall short of t1.
@@ -413,7 +416,7 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float,
         ]
         Z[0] = Y
         Z[1] = field.apply(0.0, Y)
-        ts, ys, ks = [0.0], [Y], []
+        ts, history = [0.0], []
         t = 0.0
         finite = bool(np.isfinite(Z[1]).all())
         h = _initial_step(field, Y, Z[1], t1, max_step, tol)
@@ -474,11 +477,7 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float,
                 after_rejection = True
             t, absY = t_new, absX
             ts.append(t)
-            if dense:
-                ys.append(X.copy())
-                ks.append(Z[_KEPT_ROWS])
+            history.append(Z[_HISTORY_ROWS])
             Z[0] = X
             Z[1] = Z[STAGES + 1]
-    if not dense:
-        ys = ks = None
-    return Trajectory(np.array(ts), Z[0].copy(), field, ys, ks)
+    return Trajectory(np.array(ts), Z[0].copy(), field, history)

@@ -19,14 +19,15 @@ real system is integrated in float64 throughout.  That one pass per
 frequency gives the period map, x0, and the periodic solution on SAMPLES
 intervals, read from the block's dense output contracted with z = [x0; 1]
 (``Trajectory.along``).  Runge-Kutta steps are linear in the state, so that
-is the trajectory from x0 on the block's own steps.  The same map's
-``apply`` gives the right side at states on arrays of times, which is how
-the integral-form defect of the sampled solution evaluates all Gauss nodes
-of a block of sample intervals at once, without forming the field at any
-of them.  ``periodic_solution`` keeps that map with the interpolant in its
-result, and the defect quadrature runs only when ``ode_defect`` is read:
-a caller that needs only the samples and the period map never pays for it,
-and importing this module does not load ``numpy.polynomial``.
+is the trajectory from x0 on the block's own steps; ``monodromy`` runs the
+same pass and reads only its end.  The same map's ``apply`` gives the right
+side at states on arrays of times, which is how the integral-form defect of
+the sampled solution evaluates all Gauss nodes of a block of sample
+intervals at once, without forming the field at any of them.
+``periodic_solution`` keeps that map with the interpolant in its result,
+and the defect quadrature runs only when ``ode_defect`` is read: a caller
+that needs only the samples and the period map never pays for it, and
+importing this module does not load ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,22 @@ from .model import ProblemSpec
 # Integrator accuracy per step, relative and absolute.
 INTEGRATOR_TOL = 1e-12
 
-# sigma_min(I - Phi) at or below this means the periodic solution is not
-# unique to working precision.
-UNIQUENESS_TOL = 1e-10
+# The two tests below are on rates, margins over the period T: I - Phi is
+# about T times the averaged generator, so an absolute margin would flip
+# with omega alone.  A margin under ROUNDING_FLOOR decides nothing; the
+# borderline fixtures' multiplier margins reach 16 eps up to omega = 1e9.
+ROUNDING_FLOOR = 64 * np.finfo(float).eps
 
-# Multipliers within this distance of the unit circle count as "on" it.
+# sigma_min(I - Phi) at or below max(UNIQUENESS_TOL * T, ROUNDING_FLOOR)
+# means the periodic solution is not unique to working precision.  The rate
+# 1e-9 gives the former absolute bound, 1e-10, at omega = 20 pi (about 63),
+# amid the frequencies 50 to 100 where the fixtures and the CLI default sit.
+# Below that it is stricter, 6.3e-9 at omega = 1, where the fixtures' margins
+# are either above 0.7 or, near a resonance, under 1e-10 and refused by both.
+UNIQUENESS_TOL = 1e-9
+
+# Multipliers within max(UNIT_BAND * T, ROUNDING_FLOOR) of the unit circle
+# count as "on" it: Floquet exponents within UNIT_BAND of the imaginary axis.
 UNIT_BAND = 1e-8
 
 # Sample intervals of the periodic solution over one period.
@@ -75,15 +87,16 @@ def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
     return _period_pass(spec.field_map(omega, omega), T).y[:, : spec.n]
 
 
-def _period_pass(field, T, dense=False):
+def _period_pass(field, T):
     """One pass over the period T from the block [I | 0], whose last column
     alone picks up the forcing: it ends at [Phi | v], the period map beside
-    the forced response from zero."""
+    the forced response from zero, and keeps the step history that
+    ``Trajectory.along`` reads."""
     # Imported here: commands that never integrate skip the integrator's
     # module and its tableau.
     from .dop853 import solve
 
-    return solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=dense)
+    return solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +112,9 @@ class PeriodicOracleSolution:
     over the sample intervals, between the state increment and the 10-point
     Gauss-Legendre quadrature of the right side along x: it holds the
     integration error and the quadrature error, which grows as the sample
-    intervals widen.  Arrays are float64 for a real system, complex
-    otherwise, and read-only.
+    intervals widen.  ``unique_margin`` is sigma_min(I - Phi), above the
+    ``unique_threshold`` it passed.  Arrays are float64 for a real system,
+    complex otherwise, and read-only.
 
     ``ode_defect`` is computed on first read, from the interpolant and the
     field map that the result keeps, and then kept: callers that read only
@@ -113,6 +127,7 @@ class PeriodicOracleSolution:
     monodromy: np.ndarray
     periodicity_defect: float
     unique_margin: float
+    unique_threshold: float
     _interpolant: object = dataclasses.field(repr=False)
     _field: object = dataclasses.field(repr=False)
 
@@ -142,15 +157,17 @@ def periodic_solution(spec: ProblemSpec, omega) -> PeriodicOracleSolution:
     (I - Phi) x0 = v, and the samples are the pass's dense output contracted
     with [x0; 1], an interpolant that keeps one trajectory's worth per step.
     Raises NonUniqueError when the period map has 1 as an eigenvalue to
-    working precision, i.e. sigma_min(I - Phi) <= UNIQUENESS_TOL.
+    working precision: sigma_min(I - Phi) <= max(UNIQUENESS_TOL * T,
+    ROUNDING_FLOOR).
     """
     T = period(omega)
     field = spec.field_map(omega, omega)
-    traj = _period_pass(field, T, dense=True)
+    traj = _period_pass(field, T)
     Phi, forced = traj.y[:, :-1], traj.y[:, -1]
     gap = np.eye(spec.n) - Phi
     unique_margin = float(np.linalg.svd(gap, compute_uv=False)[-1])
-    if unique_margin <= UNIQUENESS_TOL:
+    unique_threshold = max(UNIQUENESS_TOL * T, ROUNDING_FLOOR)
+    if unique_margin <= unique_threshold:
         raise NonUniqueError(
             f"period map has a unit eigenvalue to tolerance "
             f"(sigma_min(I - Phi) = {unique_margin:.3e}); "
@@ -171,6 +188,7 @@ def periodic_solution(spec: ProblemSpec, omega) -> PeriodicOracleSolution:
         monodromy=Phi,
         periodicity_defect=float(np.linalg.norm(x[-1] - x[0])),
         unique_margin=unique_margin,
+        unique_threshold=unique_threshold,
         _interpolant=sol,
         _field=field,
     )
@@ -187,15 +205,16 @@ def floquet_verdict(spec: ProblemSpec, omega) -> FloquetVerdict:
     """Stability of x' = M(t) x from the characteristic multipliers.
 
     Unstable when some multiplier leaves the closed unit disk by more than
-    ``UNIT_BAND``; otherwise stable, provided every multiplier cluster on
-    the unit circle is semisimple.  A defective on-circle cluster raises
-    BoundaryUndecidable: the verdict would hinge on structure below the
-    resolution of the computed period map.
+    the band max(UNIT_BAND * T, ROUNDING_FLOOR); otherwise stable, provided
+    every multiplier cluster on the unit circle is semisimple.  A defective
+    on-circle cluster raises BoundaryUndecidable: the verdict would hinge on
+    structure below the resolution of the computed period map.
     """
+    band = max(UNIT_BAND * period(omega), ROUNDING_FLOOR)
     Phi = monodromy(spec, omega)
     mult = np.linalg.eigvals(Phi).astype(complex)
     margin = float(np.max(np.abs(mult)) - 1.0)
-    if margin > UNIT_BAND:
+    if margin > band:
         return FloquetVerdict(kind="Unstable", margin=margin, multipliers=mult)
 
     scale = max(1.0, float(np.linalg.norm(Phi, 2)))
@@ -207,7 +226,7 @@ def floquet_verdict(spec: ProblemSpec, omega) -> FloquetVerdict:
         remaining = [j for j in remaining if j not in cluster]
         if len(cluster) < 2:
             continue
-        if np.max(np.abs(mult[cluster])) < 1.0 - UNIT_BAND:
+        if np.max(np.abs(mult[cluster])) < 1.0 - band:
             continue  # strictly inside; transients decay regardless
         center = np.mean(mult[cluster])
         sv = np.linalg.svd(Phi - center * np.eye(spec.n), compute_uv=False)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hfosc.cli as cli
-from hfosc import fixtures
+from hfosc import fixtures, oracle
 from hfosc.averaging import DEFAULT_TRUNC, ZERO_TOL
 from hfosc.cli import MAX_SAMPLES, main
 from hfosc.model import ProblemSpec, serialize_problem
@@ -310,7 +310,9 @@ def test_validate_reports_the_thresholds_applied(capsys):
     assert main(["validate", path, "--format", "json"]) == 0
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["solvability_sigma_min"]["threshold"] == pytest.approx(2.094e-10, rel=1e-3)
-    assert checks["oracle_unique_margin"]["threshold"] == 1e-10
+    # The uniqueness bound is UNIQUENESS_TOL of the period, T = 2 pi / 100.
+    unique_threshold = oracle.UNIQUENESS_TOL * oracle.period(100.0)
+    assert checks["oracle_unique_margin"]["threshold"] == unique_threshold
 
 
 def test_usage_errors_exit_one():
@@ -448,10 +450,9 @@ def test_cli_import_leaves_out_the_integrator():
     assert proc.stdout.strip() == "[0, 0, 0] []"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND line on floquet_verdict's absolute UNIT_BAND = 1e-8: at omega = 1e9 "
-    "the margin max|mu| - 1 = 8.255e-9 falls under the band and reads Stable"))
 def test_multiplier_verdict_stays_unstable_at_high_frequency():
+    # The margin max|mu| - 1 = 8.255e-9 at omega = 1e9 is a Floquet exponent
+    # of about 1.31 over T = 6.3e-9: far outside a band relative to T.
     proc = _run_module(
         "stability", str(FIXTURES / "random_n3_m1.json"), "--omega", "1e9",
         "--format", "json", timeout=60,
@@ -460,10 +461,8 @@ def test_multiplier_verdict_stays_unstable_at_high_frequency():
     assert json.loads(proc.stdout)["floquet"]["kind"] == "Unstable"
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND line on oracle's absolute UNIQUENESS_TOL = 1e-10: at omega = 1e5 "
-    "sigma_min(I - Phi) = 7.975e-11 and validate exits 3"))
 def test_validate_keeps_a_unique_solution_at_high_frequency():
+    # sigma_min(I - Phi) = 7.975e-11 at omega = 1e5 is 1.27e-6 of T.
     proc = _run_module(
         "validate", str(FIXTURES / "random_n3_m1.json"), "--omega", "1e5", timeout=60,
     )

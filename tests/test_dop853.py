@@ -118,7 +118,7 @@ def test_one_field_call_per_attempted_step():
     omega = 50.0
     T = 2 * np.pi / omega
     field = _Counting(**vars(spec.field_map(omega, omega)))
-    traj = dop853.solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16, dense=True)
+    traj = dop853.solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16)
     # The right side at t = 0 and at the trial point of the first step, then
     # one field grid per attempted step on its 12 stage times, and nothing
     # more: the run forms no grid for its dense output.
@@ -157,8 +157,7 @@ def test_block_contracted_with_z_is_the_trajectory_from_its_start():
     omega = 60.0
     T = 2 * np.pi / omega
     x0 = np.linspace(-1.0, 1.0, 4)
-    block = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL,
-                         max_step=T / 16, dense=True)
+    block = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16)
     t = np.linspace(0.0, T, 50)
     along = block.along(np.append(x0, 1.0))
     assert along(t).dtype == np.float64

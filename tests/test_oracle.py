@@ -199,6 +199,16 @@ def test_periodic_solution_integrates_once(monkeypatch):
     assert calls == [(5, 6)]
 
 
+@pytest.mark.parametrize("real_mode", [True, False])
+@pytest.mark.parametrize("n", [3, 12])
+def test_monodromy_is_the_period_map_of_the_periodic_solution(n, real_mode):
+    # Both run the same pass, which always records its step history:
+    # recording it must not perturb the run.
+    spec = fixtures.random_admissible(seed=4, n=n, m=2, real_mode=real_mode)
+    omega = 120.0
+    assert np.array_equal(monodromy(spec, omega), periodic_solution(spec, omega).monodromy)
+
+
 def test_periodic_solution_memory_stays_flat():
     # The step record holds only the stages the interpolant reads, and is
     # dropped before the defect quadrature; a record of every full stage
@@ -264,6 +274,31 @@ def test_floquet_separates_the_borderline_pair():
     assert unstable.kind == "Unstable"
     # The growing multiplier is exp(2 pi / omega^2) for this fixture.
     assert unstable.margin == pytest.approx(np.expm1(2 * np.pi / omega**2), rel=1e-6)
+
+
+def test_thresholds_are_relative_to_the_period():
+    # The borderline pair's exponents are 0 and about 1 / omega, so both
+    # margins shrink like omega^-2: at 1e5 the unstable one, 6.3e-10, and at
+    # 1e6 its sigma_min(I - Phi), 4.4e-12, are far above a bound relative
+    # to T, while the stable one's rounding stays under the floor up to 1e9.
+    for omega in (1e5, 1e9):
+        assert floquet_verdict(fixtures.borderline_stable(), omega).kind == "Stable"
+    assert floquet_verdict(fixtures.borderline_unstable(), 1e5).kind == "Unstable"
+    ps = periodic_solution(fixtures.borderline_unstable(), 1e6)
+    assert ps.unique_threshold == oracle.ROUNDING_FLOOR < ps.unique_margin
+    ps = periodic_solution(fixtures.borderline_unstable(), 1e2)
+    assert ps.unique_threshold == oracle.UNIQUENESS_TOL * ps.period < ps.unique_margin
+    # At omega = 1 the bound, 6.3e-9 of T = 2 pi, is above the former 1e-10,
+    # but no decision moves: the unstable fixture's margin is 0.97, and the
+    # stable one sits at a resonance, sigma_min = 3.2e-13, refused by both.
+    ps = periodic_solution(fixtures.borderline_unstable(), 1.0)
+    assert ps.unique_threshold == oracle.UNIQUENESS_TOL * ps.period < ps.unique_margin
+    with pytest.raises(NonUniqueError):
+        periodic_solution(fixtures.borderline_stable(), 1.0)
+    # A unit multiplier that is exact stays one at every frequency.
+    for omega in (1.0, 1e2, 1e9):
+        with pytest.raises(NonUniqueError):
+            periodic_solution(fixtures.degenerate_example(), omega)
 
 
 def test_defective_unit_cluster_is_undecidable():
