@@ -3,8 +3,9 @@
 The convergence analysis assumes unit-size data.  ``normalize`` rescales a
 problem so that every coefficient block has norm at most one; the scaling
 is an exact change of variables (t -> t/scale, omega -> omega/scale), so
-conclusions transfer back verbatim.  ``constants`` packages the three
-numbers the error bound is built from:
+conclusions transfer back verbatim.  ``constants`` and ``check_growth``
+apply the scale to the stored problem's kernel data and expansion instead.
+``constants`` packages the three numbers the error bound is built from:
 
 * K = 2 m + 2, an upper bound for harmonic counting,
 * L, a solvability constant: |x_p| <= L |theta_p| and the kernel
@@ -13,7 +14,7 @@ numbers the error bound is built from:
   is guaranteed to behave like a geometric series.
 
 ``check_growth`` replays the envelope inequalities against the actually
-computed expansion of a normalized problem: the recursion envelope
+computed expansion, rescaled to unit size: the recursion envelope
 
     phi_p = (2m + 1) mu_p + mu_{p-1} + 2 m L |theta_{p-1}|,  phi_0 = 2m,
 
@@ -52,6 +53,13 @@ def _block_norms(spec: ProblemSpec):
     return norms + [float(np.linalg.norm(v)) for v in spec.d.values()]
 
 
+def _scale(spec: ProblemSpec) -> float:
+    """The largest block norm, or exactly 1.0 when that is at most 1 + NORM_SLACK."""
+    scale = float(max(_block_norms(spec)))
+    check_finite("the normalization scale", scale)
+    return scale if scale > 1.0 + NORM_SLACK else 1.0
+
+
 def normalize(spec: ProblemSpec) -> tuple[ProblemSpec, float]:
     """Rescale so every block norm is at most 1; returns (spec', scale).
 
@@ -59,11 +67,9 @@ def normalize(spec: ProblemSpec) -> tuple[ProblemSpec, float]:
     omega' = omega / scale, with A0' = A0/scale, B_l' = B_l/scale,
     d_l' = d_l/scale and B0' = B0/scale^2 (B0 rides at order 1/omega, so it
     picks up the scale twice).  x'(t') = x(t'/scale) solves the primed
-    system exactly: no approximation is involved.  Raises NonFiniteError
-    when a block norm, and with it the scale, overflows.
+    system exactly: no approximation is involved.
     """
-    scale = max(1.0, float(max(_block_norms(spec))))
-    check_finite("the normalization scale", scale)
+    scale = _scale(spec)
     if scale == 1.0:
         return spec, 1.0
     prime = ProblemSpec(
@@ -78,36 +84,34 @@ def normalize(spec: ProblemSpec) -> tuple[ProblemSpec, float]:
     return prime, scale
 
 
-def is_normalized(spec: ProblemSpec) -> bool:
-    return max(_block_norms(spec)) <= 1.0 + NORM_SLACK
-
-
 @dataclass(frozen=True)
 class ConvergenceConstants:
     K: float
     L: float
     omega0: float
+    scale: float = 1.0  # of the problem they were computed from
 
 
 def constants(
     spec: ProblemSpec, kernel_data: KernelData | None = None
 ) -> ConvergenceConstants:
-    """Convergence constants of a normalized problem.
+    """Convergence constants of the normalized problem of ``spec``.
 
     L = max(|W| (1 + |A1| s |S^{-1}|_inf), s |S^{-1}|_inf) with S the
     solvability matrix; both solvability steps of the recursion are then
-    bounded by L times the driving term.  Requires a normalized spec, since
-    the envelope inequalities count coefficient blocks as having norm 1.
+    bounded by L times the driving term.  The data are ``spec``'s, rescaled
+    as W' = scale W, A1' = A1/scale^2 and S' = S/scale^2; for s >= 2, L
+    depends on the kernel basis, as |S^{-1}|_inf does.
     """
-    if not is_normalized(spec):
-        raise ValueError("constants() needs a normalized spec; call normalize()")
     kd = kernel_data if kernel_data is not None else compute_kernel_data(spec)
+    scale = _scale(spec)
     s = kd.dim
     inv_inf = float(np.linalg.norm(np.linalg.inv(kd.solvability), np.inf))
     W_norm, A1_norm = map(float, _spectral_norms(kd.restricted_inverse, kd.averaged))
-    L = max(W_norm * (1.0 + A1_norm * s * inv_inf), s * inv_inf)
+    L = max(scale * W_norm * (1.0 + A1_norm * s * inv_inf), s * inv_inf * scale * scale)
+    check_finite("the solvability constant L", L)
     K = 2.0 * spec.m + 2.0
-    return ConvergenceConstants(K=K, L=L, omega0=K * (K * L + 1.0))
+    return ConvergenceConstants(K=K, L=L, omega0=K * (K * L + 1.0), scale=scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,21 +147,23 @@ def check_growth(
     cc: ConvergenceConstants,
     p_max: int | None = None,
 ) -> BoundsReport:
-    """Replay the growth-envelope inequalities against a computed expansion.
-    Where the budget (K (K L + 1))^p overflows to inf, the bound holds."""
+    """Replay the growth-envelope inequalities against a computed expansion,
+    its theta_p divided by cc.scale^(p+1) and mu_p by cc.scale^p (0 where the
+    power overflows).  Where the budget (K (K L + 1))^p overflows, the bound holds."""
     if p_max is None:
         p_max = exp.order
     if not 0 <= p_max <= exp.order:
         raise ValueError(f"p_max must be in [0, {exp.order}], got {p_max}")
     K, L, m = cc.K, cc.L, exp.m
     levels = exp.levels[: p_max + 1]
-    theta = safe_norm([lev.forcing for lev in levels])
-    mu = np.array([lev.harmonic_mass for lev in levels])
+    p = np.arange(p_max + 1.0)
+    with np.errstate(over="ignore"):
+        theta = safe_norm([lev.forcing for lev in levels]) / cc.scale ** (p + 1.0)
+        mu = np.array([lev.harmonic_mass for lev in levels]) / cc.scale**p
+        budget = (K * (K * L + 1.0)) ** p
     phi = np.empty(p_max + 1)
     phi[0] = 2.0 * m
     phi[1:] = (2 * m + 1) * mu[1:] + mu[:-1] + 2 * m * L * theta[:-1]
-    with np.errstate(over="ignore"):
-        budget = (K * (K * L + 1.0)) ** np.arange(p_max + 1.0)
     recursion = _holds(phi[1:], K**3 * L * theta[:-1] + K * phi[:-1])
     forcing, harmonic = _holds(theta, budget), _holds(mu, budget)
     ok = forcing & harmonic

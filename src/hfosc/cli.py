@@ -75,10 +75,7 @@ def _basis_lines(label, basis) -> list:
 
 def _cmd_analyze(spec, args):
     kd = compute_kernel_data(spec, rank_tol=args.rank_tol)
-    norm_spec, scale = bounds_mod.normalize(spec)
-    cc = bounds_mod.constants(
-        norm_spec, compute_kernel_data(norm_spec, rank_tol=args.rank_tol)
-    )
+    cc = bounds_mod.constants(spec, kd)
     report = [
         ("n", spec.n, f"problem: n={spec.n} m={spec.m} "
          + ("real" if spec.real_mode else "complex")),
@@ -94,7 +91,7 @@ def _cmd_analyze(spec, args):
         ("solvability", kd.solvability, None),
         ("solvability_sigma_min", kd.solvability_sigma_min,
          f"solvability matrix sigma_min: {kd.solvability_sigma_min:.6g}"),
-        ("scale", scale, f"normalization scale: {scale:.6g}"),
+        ("scale", cc.scale, f"normalization scale: {cc.scale:.6g}"),
         ("K", cc.K, f"constants (normalized problem): K={cc.K:g} L={cc.L:.6g} "
          f"omega0={cc.omega0:.6g}"),
         ("L", cc.L, None),
@@ -239,11 +236,8 @@ def _cmd_validate(spec, args):
     )
     check("oscillation_support", sup_ok, True, sup_ok)
 
-    norm_spec, scale = bounds_mod.normalize(spec)
-    nkd = compute_kernel_data(norm_spec, rank_tol=args.rank_tol)
-    cc = bounds_mod.constants(norm_spec, nkd)
-    nexp = expand(norm_spec, args.order, kernel_data=nkd)
-    rep = bounds_mod.check_growth(nexp, cc)
+    cc = bounds_mod.constants(spec, kd)
+    rep = bounds_mod.check_growth(exp, cc)
     check("growth_envelope", rep.all_ok, True, rep.all_ok)
 
     omega = args.omega
@@ -269,7 +263,7 @@ def _cmd_validate(spec, args):
     ok = all(c["ok"] for c in checks)
     report = [
         ("omega", omega, f"validation at order {args.order}, omega {omega:g} "
-         f"(asymptotic threshold omega0*scale = {cc.omega0 * scale:.6g}):"),
+         f"(asymptotic threshold omega0*scale = {cc.omega0 * cc.scale:.6g}):"),
         ("order", args.order, None),
         ("ok", ok, None),
         ("checks", checks, [_check_line(c) for c in checks]

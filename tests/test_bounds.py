@@ -10,7 +10,6 @@ from hfosc.bounds import (
     _spectral_norms,
     check_growth,
     constants,
-    is_normalized,
     normalize,
 )
 from hfosc.expansion import expand, partial_sum, safe_norm
@@ -32,10 +31,9 @@ def _scaled_up(spec, factor):
 
 def test_normalize_brings_all_blocks_under_one():
     spec = _scaled_up(fixtures.random_admissible(seed=0, n=3, m=2), 7.0)
-    assert not is_normalized(spec)
     prime, scale = normalize(spec)
     assert scale > 1.0
-    assert is_normalized(prime)
+    assert normalize(prime)[1] == 1.0
     norms = [np.linalg.norm(prime.A0, 2), np.linalg.norm(prime.B0, 2)]
     norms += [np.linalg.norm(M, 2) for M in prime.B.values()]
     norms += [np.linalg.norm(v) for v in prime.d.values()]
@@ -53,6 +51,11 @@ def test_normalize_is_identity_on_small_problems():
     assert scale == 1.0
     prime2, scale2 = normalize(prime)
     assert prime2 is prime and scale2 == 1.0
+    # A largest block norm within NORM_SLACK of 1 is rounding: scale 1.0.
+    edge = _scaled_up(spec, (1.0 + 1e-13) / max(_block_norms(spec)))
+    assert 1.0 < max(_block_norms(edge)) < 1.0 + 1e-12
+    prime3, scale3 = normalize(edge)
+    assert prime3 is edge and scale3 == 1.0
 
 
 def test_normalize_is_an_exact_change_of_variables():
@@ -71,15 +74,38 @@ def test_normalize_is_an_exact_change_of_variables():
     assert np.allclose(S, S_p, rtol=1e-9, atol=1e-9 * float(np.max(np.abs(S))))
 
 
-def test_constants_require_normalization():
+def test_constants_carry_the_normalization_scale():
     spec = _scaled_up(fixtures.random_admissible(seed=1, n=3, m=1), 3.0)
-    with pytest.raises(ValueError):
-        constants(spec)
-    prime, _ = normalize(spec)
+    prime, scale = normalize(spec)
+    assert constants(spec).scale == scale > 1.0
     cc = constants(prime)
+    assert cc == constants(prime, compute_kernel_data(prime))
+    assert cc.scale == 1.0
     assert cc.K == 2.0 * spec.m + 2.0
     assert cc.L > 0.0
     assert cc.omega0 == pytest.approx(cc.K * (cc.K * cc.L + 1.0))
+
+
+@pytest.mark.parametrize("factor", [7.0, 1e3])
+@pytest.mark.parametrize("real_mode", [True, False])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_scaled_growth_check_agrees_with_the_normalized_problem(s, real_mode, factor):
+    # check_growth reads a stored problem's expansion at its scale; the
+    # normalized problem's own expansion gives the same levels.  Its SVD
+    # may pick another kernel basis for s >= 2, and L depends on the basis.
+    spec = fixtures.random_admissible(seed=s, n=s + 2, m=2, s=s, real_mode=real_mode)
+    spec = _scaled_up(spec, factor)
+    prime, _ = normalize(spec)
+    cc, cc_p = constants(spec), constants(prime)
+    report = check_growth(expand(spec, order=10), cc)
+    want = check_growth(expand(prime, order=10), cc_p)
+    assert report.all_ok == want.all_ok
+    assert report.first_violation == want.first_violation
+    assert np.allclose(report.theta_norms, want.theta_norms, rtol=1e-10, atol=0.0)
+    assert np.allclose(report.harmonic_masses, want.harmonic_masses, rtol=1e-10, atol=0.0)
+    if s == 1:
+        assert cc.L == pytest.approx(cc_p.L, rel=1e-12, abs=0.0)
+        assert cc.omega0 == pytest.approx(cc_p.omega0, rel=1e-12, abs=0.0)
 
 
 def test_solvability_constant_bounds_both_recursion_steps():

@@ -15,8 +15,10 @@ import pytest
 import hfosc.cli as cli
 from hfosc import fixtures, oracle
 from hfosc.averaging import DEFAULT_TRUNC, ZERO_TOL
+from hfosc.bounds import constants
 from hfosc.cli import MAX_SAMPLES, main
 from hfosc.model import ProblemSpec, serialize_problem
+from hfosc.spectral import compute_kernel_data
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -523,12 +525,59 @@ def test_rank_tol_reaches_every_kernel(capsys):
     wide = ("--rank-tol", "0.9")  # also cuts sigma = 0.5: kernel dim 2, not 1
     for argv in (("evaluate", path), ("slope", path, "--order", "0", "--omegas", "60,120")):
         assert _report(capsys, *argv) != _report(capsys, *argv, *wide)
-    # The normalized problem's kernel, behind L and omega0, follows the flag too.
+    # L and omega0 are read off the one kernel, so they follow the flag too.
     base = json.loads(_report(capsys, "analyze", path, "--format", "json"))
     cut = json.loads(_report(capsys, "analyze", path, "--format", "json", *wide))
     assert cut["L"] != base["L"]
     first = _report(capsys, "validate", path).splitlines()[0]
     assert first != _report(capsys, "validate", path, *wide).splitlines()[0]
+
+
+def test_analyze_and_expand_decide_one_kernel(tmp_path, capsys):
+    # A0 keeps sigma = 1e-4 at the rank cut, but |B_{+-1}| = 3e5, and 1e-4
+    # divided by that scale would fall under it; the second rows and
+    # columns of B0 and B_{+-1} are zero, so a kernel that kept e_2 would
+    # make the solvability matrix singular.
+    B1 = 3e5 * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    spec = ProblemSpec(
+        n=3, m=1,
+        A0=np.diag([0.0, 1e-4, -1.0]),
+        B0=[[-1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.3, 0.0, -0.2]],
+        B={1: B1, -1: B1},
+        d={0: [1.0, 0.0, 0.5]},
+    )
+    path = _write(tmp_path, spec)
+    assert main(["expand", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["kernel_dim"] == 1
+    assert main(["analyze", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kernel_dim"] == 1
+    assert doc["L"] == constants(spec, compute_kernel_data(spec)).L
+
+
+@pytest.mark.parametrize("command, kernels, expansions", [
+    ("analyze", 1, 0),
+    ("validate", 1, 1),
+])
+def test_commands_compute_one_kernel_and_one_expansion(
+    monkeypatch, capsys, command, kernels, expansions
+):
+    calls = {"compute_kernel_data": 0, "expand": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("compute_kernel_data")
+    counted("expand")
+    assert main([command, str(FIXTURES / "random_n3_m1.json")]) == 0
+    capsys.readouterr()
+    assert calls == {"compute_kernel_data": kernels, "expand": expansions}
 
 
 def test_rounding_in_real_minors_leaves_the_series_inconclusive(capsys):
