@@ -27,13 +27,16 @@ rounding slack is a bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import check_finite
-from .expansion import AsymptoticExpansion, safe_norm
 from .model import ProblemSpec
 from .spectral import KernelData, compute_kernel_data
+
+if TYPE_CHECKING:
+    from .expansion import AsymptoticExpansion
 
 # Norms may exceed their budget by this relative slack before a check fails.
 GROWTH_SLACK = 1e-9
@@ -150,6 +153,8 @@ def check_growth(
     """Replay the growth-envelope inequalities against a computed expansion,
     its theta_p divided by cc.scale^(p+1) and mu_p by cc.scale^p (0 where the
     power overflows).  Where the budget (K (K L + 1))^p overflows, the bound holds."""
+    from .expansion import safe_norm
+
     if p_max is None:
         p_max = exp.order
     if not 0 <= p_max <= exp.order:

@@ -11,6 +11,7 @@ is not unique.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -18,8 +19,9 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .averaging import DEFAULT_TRUNC, ZERO_TOL, analyze_stability, formal_average
+# Each command imports the rest of the package (expansion, bounds,
+# averaging, oracle) when it runs, so a process loads only what its command
+# uses; see ``oracle._period_pass``, which loads the integrator the same way.
 from .errors import (
     BoundaryUndecidable,
     DegenerateError,
@@ -28,9 +30,7 @@ from .errors import (
     NonFiniteError,
     NonUniqueError,
 )
-from .expansion import expand, partial_sum, safe_norm
 from .model import load_problem, to_pairs
-from .oracle import INTEGRATOR_TOL, error_slope, floquet_verdict, period, periodic_solution
 from .spectral import RANK_TOL, compute_kernel_data
 
 EXIT_OK = 0
@@ -49,6 +49,8 @@ def solvability_defect(exp) -> float:
     The levels grow geometrically, so each defect is measured against
     max(1, the size of its data).  Sweep e closes 0 = A0 x_e + A1 v_{e-1}
     + theta_e for C_{e-1}; the last sweep's theta and x are not kept."""
+    from .expansion import safe_norm
+
     a1 = float(np.linalg.norm(exp.kernel_data.averaged, 2))
     coeffs = [exp.leading] + [lev.kernel_coeff for lev in exp.levels]
     defects = [exp.leading_defect] + [lev.solvability_defect for lev in exp.levels]
@@ -74,8 +76,10 @@ def _basis_lines(label, basis) -> list:
 
 
 def _cmd_analyze(spec, args):
+    from .bounds import constants
+
     kd = compute_kernel_data(spec, rank_tol=args.rank_tol)
-    cc = bounds_mod.constants(spec, kd)
+    cc = constants(spec, kd)
     report = [
         ("n", spec.n, f"problem: n={spec.n} m={spec.m} "
          + ("real" if spec.real_mode else "complex")),
@@ -101,6 +105,8 @@ def _cmd_analyze(spec, args):
 
 
 def _cmd_expand(spec, args):
+    from .expansion import expand, safe_norm
+
     kd = compute_kernel_data(spec, rank_tol=args.rank_tol)
     exp = expand(spec, args.order, kernel_data=kd)
     levels = [
@@ -135,6 +141,9 @@ def _cmd_expand(spec, args):
 
 
 def _cmd_evaluate(spec, args):
+    from .expansion import expand, partial_sum
+    from .oracle import period
+
     exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
     t = np.linspace(0.0, period(args.omega), args.samples + 1)
     x = partial_sum(exp, args.order, args.omega, t)
@@ -149,7 +158,11 @@ def _cmd_evaluate(spec, args):
 
 
 def _cmd_stability(spec, args):
-    verdict = analyze_stability(spec, trunc=args.trunc, zero_tol=args.zero_tol)
+    from .averaging import analyze_stability
+    from .oracle import floquet_verdict
+
+    given = {k: v for k, v in vars(args).items() if k in ("trunc", "zero_tol") and v is not None}
+    verdict = analyze_stability(spec, **given)
     series = {
         "kind": verdict.kind,
         "detail": verdict.detail,
@@ -180,6 +193,9 @@ def _cmd_stability(spec, args):
 
 
 def _cmd_slope(spec, args):
+    from .expansion import expand
+    from .oracle import error_slope
+
     exp = expand(spec, args.order, compute_kernel_data(spec, rank_tol=args.rank_tol))
     rep = error_slope(spec, exp, args.order, args.omegas)
     report = [
@@ -196,6 +212,11 @@ def _cmd_slope(spec, args):
 
 
 def _cmd_validate(spec, args):
+    from .averaging import formal_average
+    from .bounds import check_growth, constants
+    from .expansion import expand, partial_sum, safe_norm
+    from .oracle import INTEGRATOR_TOL, periodic_solution
+
     checks = []
 
     def check(name, value, threshold, ok):
@@ -236,8 +257,8 @@ def _cmd_validate(spec, args):
     )
     check("oscillation_support", sup_ok, True, sup_ok)
 
-    cc = bounds_mod.constants(spec, kd)
-    rep = bounds_mod.check_growth(exp, cc)
+    cc = constants(spec, kd)
+    rep = check_growth(exp, cc)
     check("growth_envelope", rep.all_ok, True, rep.all_ok)
 
     omega = args.omega
@@ -371,14 +392,16 @@ MAX_SAMPLES = 100_000
 
 # Each flag once: the commands that take it, its parser and its default.
 # ``stability`` takes no --rank-tol: it computes no kernel, and the one rank
-# cut of the series test stays at RANK_TOL.
+# cut of the series test stays at RANK_TOL.  A default of None is the
+# library's: ``stability`` passes --trunc and --zero-tol only when given, so
+# ``analyze_stability``'s signature is their one home.
 _FLAGS = {
     "--rank-tol": (("analyze", "expand", "evaluate", "slope", "validate"), _positive, RANK_TOL),
     "--order": (("expand", "evaluate", "slope", "validate"), _at_least(0), 2),
     "--omega": (("evaluate", "stability", "validate"), _positive, 100.0),
     "--samples": (("evaluate",), _at_least(1, MAX_SAMPLES), 64),
-    "--trunc": (("stability",), _at_least(1), DEFAULT_TRUNC),
-    "--zero-tol": (("stability",), _positive, ZERO_TOL),
+    "--trunc": (("stability",), _at_least(1), None),
+    "--zero-tol": (("stability",), _positive, None),
     "--omegas": (("slope",), _frequencies, (100.0, 200.0, 400.0, 800.0)),
 }
 
@@ -419,6 +442,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; ``argv`` defaults to the process's arguments.
+
+    Run as the program (``argv`` None), the report is out once this returns
+    and the process ends.  So the objects still alive move into the
+    collector's permanent generation, and the full collections of
+    interpreter shutdown do not walk numpy's and the package's objects
+    again.  A caller that passes ``argv`` goes on running, and its
+    collector is left as it was."""
+    try:
+        return _main(argv)
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except HfoscError as exc:

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import gc
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import hfosc.cli as cli
-from hfosc import fixtures, oracle
+from hfosc import averaging, expansion, fixtures, oracle
 from hfosc.averaging import DEFAULT_TRUNC, ZERO_TOL
 from hfosc.bounds import constants
 from hfosc.cli import MAX_SAMPLES, main
@@ -24,13 +25,17 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 
 
-def _run_python(*argv, timeout=None):
-    """A fresh interpreter that imports this checkout."""
+def _child_env():
+    """The environment of a child interpreter that imports this checkout."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def _run_python(*argv, timeout=None, text=True):
+    """A fresh interpreter that imports this checkout."""
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        capture_output=True, text=text, timeout=timeout, env=_child_env(),
     )
 
 
@@ -181,6 +186,30 @@ def test_stability_json_fields(tmp_path, capsys):
     assert doc["floquet"]["margin"] == pytest.approx(
         np.expm1(2 * np.pi / 100.0**2), rel=1e-5
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stability_defaults_are_analyze_stabilitys(monkeypatch, capsys, fmt):
+    # Without --trunc and --zero-tol the series test runs at the defaults
+    # of analyze_stability's signature, and the report says so.
+    verdicts = []
+    real = averaging.analyze_stability
+
+    def spy(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(averaging, "analyze_stability", spy)
+    path = str(FIXTURES / "borderline_stable.json")
+    assert main(["stability", path, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    [verdict] = verdicts
+    assert (verdict.trunc, verdict.zero_tol) == (DEFAULT_TRUNC, ZERO_TOL)
+    if fmt == "json":
+        doc = json.loads(out)
+        assert (doc["trunc"], doc["zero_tol"]) == (DEFAULT_TRUNC, ZERO_TOL)
+    else:
+        assert f"series test (through 1/omega^{DEFAULT_TRUNC}):" in out
 
 
 def test_stability_json_reports_measured_quantities(tmp_path, capsys):
@@ -396,7 +425,7 @@ def test_memory_error_exits_one(message, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError(message)
 
-    monkeypatch.setattr("hfosc.cli.partial_sum", exhausted)
+    monkeypatch.setattr("hfosc.expansion.partial_sum", exhausted)
     assert main(["evaluate", str(FIXTURES / "random_n3_m1.json")]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message or 'out of memory'}\n"
@@ -426,10 +455,12 @@ def test_cli_import_leaves_out_the_integrator():
     assert proc.stdout.strip() == "[False, False, False]"
 
     # The package root re-exports nothing, so importing a module loads only
-    # the modules it imports itself.
+    # the modules it imports itself; the CLI imports the rest of the package
+    # in the command that runs.
     for module, loaded in (
         ("hfosc", ["hfosc"]),
         ("hfosc.model", ["hfosc", "hfosc.errors", "hfosc.model"]),
+        ("hfosc.cli", ["hfosc", "hfosc.cli", "hfosc.errors", "hfosc.model", "hfosc.spectral"]),
     ):
         code = (
             f"import sys, {module}\n"
@@ -450,6 +481,100 @@ def test_cli_import_leaves_out_the_integrator():
     proc = _run_python("-c", code, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0] []"
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("analyze", ["averaging", "oracle", "dop853"]),
+    ("expand", ["averaging", "oracle", "dop853", "bounds"]),
+    ("stability", ["expansion", "bounds"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(command, absent):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hfosc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'hfosc']]))\n"
+    )
+    proc = _run_python("-c", code, command, str(FIXTURES / "random_n3_m1.json"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert sorted({f"hfosc.{m}" for m in absent} & set(loaded)) == []
+
+
+def _entry_line():
+    """The line that the benchmark's cli workload runs each command through:
+    the program path, where ``main`` reads the process's arguments."""
+    source = (ROOT / "perfbench" / "workloads.py").read_text()
+    return re.search(r'^CLI_ENTRY = "(.*)"$', source, re.M).group(1)
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "borderline_stable.json"],
+    ["stability", "borderline_unstable.json", "--format", "json"],
+    ["evaluate", "random_n3_m1.json", "--samples", "8"],
+    ["analyze", "degenerate.json", "--format", "json"],
+    ["stability", "random_n3_m1.json", "--trunc", "0"],
+], ids=" ".join)
+def test_program_path_writes_what_the_library_path_writes(argv):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+    frozen = gc.get_freeze_count()
+    expected = _in_process(argv)
+    # A caller that passes argv keeps its collector as it was.
+    assert gc.get_freeze_count() == frozen
+    proc = _run_python("-c", _entry_line(), *argv, timeout=60, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_program_path_freezes_the_collector_once_the_report_is_out(tmp_path):
+    argv = ["analyze", str(FIXTURES / "random_n3_m1.json"), "--format", "json"]
+    code = (
+        "import gc, sys\n"
+        "from hfosc.cli import main\n"
+        "code = main()\n"
+        "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    proc = _run_python("-c", code, *argv, "--output", str(tmp_path / "child.json"), timeout=60)
+    assert (proc.stdout, proc.stderr) == ("", "0 True\n")
+
+    # With --output the file holds the same bytes as the library path's.
+    proc = _run_python(
+        "-c", _entry_line(), *argv, "--output", str(tmp_path / "entry.json"), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert _in_process(argv + ["--output", str(tmp_path / "lib.json")]) == (0, b"", b"")
+    written = {(tmp_path / f"{name}.json").read_bytes() for name in ("child", "entry", "lib")}
+    assert len(written) == 1
+    json.loads(written.pop())
+
+
+def test_program_path_piped_into_head_exits_zero():
+    # head -c 1 leaves after one byte: the report's print meets a closed
+    # pipe, and the BrokenPipeError branch ends the program with its code.
+    path = str(FIXTURES / "random_n3_m1.json")
+    with subprocess.Popen(
+        [sys.executable, "-c", _entry_line(), "evaluate", path, "--samples", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    ) as proc:
+        try:
+            head = subprocess.run(
+                ["head", "-c", "1"], stdin=proc.stdout, capture_output=True, timeout=60,
+            )
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+    assert head.stdout == b"p"
+    assert stderr == b""
 
 
 def test_multiplier_verdict_stays_unstable_at_high_frequency():
@@ -489,11 +614,9 @@ def test_stalled_integration_exits_one_without_warnings(tmp_path, rate):
 
 def test_closed_stdout_ends_quietly():
     path = str(FIXTURES / "random_n3_m1.json")
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     with subprocess.Popen(
         [sys.executable, "-m", "hfosc.cli", "evaluate", path, "--samples", "20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
     ) as proc:
         try:
             # Far more than a pipe holds stays unread once the reader is gone.
@@ -564,17 +687,17 @@ def test_commands_compute_one_kernel_and_one_expansion(
 ):
     calls = {"compute_kernel_data": 0, "expand": 0}
 
-    def counted(name):
-        real = getattr(cli, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("compute_kernel_data")
-    counted("expand")
+    counted(cli, "compute_kernel_data")
+    counted(expansion, "expand")
     assert main([command, str(FIXTURES / "random_n3_m1.json")]) == 0
     capsys.readouterr()
     assert calls == {"compute_kernel_data": kernels, "expand": expansions}
@@ -738,9 +861,7 @@ def _perturb_mean(kd, lev, nxt):
 def test_validate_fails_a_level_perturbed_by_a_millionth_of_its_size(
     capsys, monkeypatch, perturb, check
 ):
-    import hfosc.cli as cli
-
-    real = cli.expand
+    real = expansion.expand
 
     def perturbed(spec, order, kernel_data):
         exp = real(spec, order, kernel_data=kernel_data)
@@ -748,7 +869,7 @@ def test_validate_fails_a_level_perturbed_by_a_millionth_of_its_size(
         levels[-2] = perturb(kernel_data, levels[-2], levels[-1])
         return dataclasses.replace(exp, levels=levels)
 
-    monkeypatch.setattr(cli, "expand", perturbed)
+    monkeypatch.setattr(expansion, "expand", perturbed)
     path = str(FIXTURES / "random_n3_m1.json")
     assert main(["validate", path, "--order", "13"]) == 1
     out = capsys.readouterr().out
