@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import check_finite
+from .errors import NonFiniteError, check_finite
 from .model import ProblemSpec
 from .spectral import KernelData, compute_kernel_data
 
@@ -113,8 +113,13 @@ def constants(
     W_norm, A1_norm = map(float, _spectral_norms(kd.restricted_inverse, kd.averaged))
     L = max(scale * W_norm * (1.0 + A1_norm * s * inv_inf), s * inv_inf * scale * scale)
     check_finite("the solvability constant L", L)
-    K = 2.0 * spec.m + 2.0
-    return ConvergenceConstants(K=K, L=L, omega0=K * (K * L + 1.0), scale=scale)
+    try:
+        K = 2.0 * spec.m + 2.0
+    except OverflowError:
+        raise NonFiniteError("the harmonic bound K = 2 m + 2 is past the floating-point range") from None
+    omega0 = K * (K * L + 1.0)
+    check_finite("the frequency threshold omega0", omega0)
+    return ConvergenceConstants(K=K, L=L, omega0=omega0, scale=scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,26 +150,17 @@ def _holds(value, bound):
     return value <= bound + GROWTH_SLACK * np.maximum(np.maximum(abs(bound), abs(value)), 1.0)
 
 
-def check_growth(
-    exp: AsymptoticExpansion,
-    cc: ConvergenceConstants,
-    p_max: int | None = None,
-) -> BoundsReport:
+def check_growth(exp: AsymptoticExpansion, cc: ConvergenceConstants) -> BoundsReport:
     """Replay the growth-envelope inequalities against a computed expansion,
     its theta_p divided by cc.scale^(p+1) and mu_p by cc.scale^p (0 where the
     power overflows).  Where the budget (K (K L + 1))^p overflows, the bound holds."""
     from .expansion import safe_norm
 
-    if p_max is None:
-        p_max = exp.order
-    if not 0 <= p_max <= exp.order:
-        raise ValueError(f"p_max must be in [0, {exp.order}], got {p_max}")
-    K, L, m = cc.K, cc.L, exp.m
-    levels = exp.levels[: p_max + 1]
+    K, L, m, p_max = cc.K, cc.L, exp.m, exp.order
     p = np.arange(p_max + 1.0)
     with np.errstate(over="ignore"):
-        theta = safe_norm([lev.forcing for lev in levels]) / cc.scale ** (p + 1.0)
-        mu = np.array([lev.harmonic_mass for lev in levels]) / cc.scale**p
+        theta = safe_norm([lev.forcing for lev in exp.levels]) / cc.scale ** (p + 1.0)
+        mu = np.array([lev.harmonic_mass for lev in exp.levels]) / cc.scale**p
         budget = (K * (K * L + 1.0)) ** p
     phi = np.empty(p_max + 1)
     phi[0] = 2.0 * m

@@ -102,40 +102,23 @@ def _times_left(c, stack):
     return stack @ c.T if stack.ndim == 2 else c @ stack
 
 
-def _transposed(stack):
-    """The stack of transposed coefficients; a vector is its own transpose."""
-    return stack if stack.ndim == 2 else stack.swapaxes(1, 2)
-
-
 def _convolve(a, b):
     """Coefficient stack of the product of the stacks a and b: row q is the
-    sum of a[i] @ b[j] over i + j = q.
+    sum of a[i] @ b[j] over i + j = q, for stacks of any lengths.
 
-    With the shorter stack on the left (a shorter right one is taken through
-    the transposes, (a b)^T = b^T a^T), one batched matmul forms every
-    product a[i] @ b[j] as one product of a[i] with the whole of b, into row
-    i of an (L, L_b + 2 (L - 1)) stack of terms that is zero outside them.
-    Row q of the result is then the terms (i, q - i), one diagonal of that
-    stack: a strided view, summed over i in one call, in order of i.  The
-    terms are the sums over the contracted axis of the per-harmonic
-    products, and they are added in the same order, so the result is the
-    per-harmonic loop's to the bit."""
-    if len(a) > len(b):
-        return _transposed(_convolve(_transposed(b), _transposed(a)))
-    L, k, rows = len(a), b.shape[1], len(a) + len(b) - 1
-    terms = np.zeros((L, len(b) + 2 * (L - 1)) + a.shape[1:-1] + b.shape[2:], dtype=complex)
-    products = terms[:, L - 1 : len(b) + L - 1]
+    One batched matmul forms every product a[i] @ b[j], as the product of
+    a[i] with the whole of b, and those of each i are added into rows
+    i .. i + len(b) - 1 of the result in order of i: the per-harmonic loop,
+    to the bit."""
     if b.ndim == 2:
-        np.matmul(b, a.swapaxes(1, 2), out=products)
+        products = np.matmul(b, a.swapaxes(1, 2))
     else:
-        np.matmul(a.reshape(L, 1, -1, k), b, out=products.reshape(L, len(b), -1, b.shape[2]))
-    step_i, step_j = terms.strides[:2]
-    # diagonals[i, q] = terms[i, L - 1 + q - i], the term a[i] @ b[q - i].
-    diagonals = np.ndarray(
-        (L, rows) + terms.shape[2:], complex, terms, (L - 1) * step_j,
-        (step_i - step_j, step_j) + terms.strides[2:],
-    )
-    return diagonals.sum(axis=0)
+        products = np.matmul(a.reshape(len(a), 1, -1, b.shape[1]), b)
+        products = products.reshape((len(a), len(b)) + a.shape[1:-1] + b.shape[2:])
+    out = np.zeros((len(a) + len(b) - 1,) + products.shape[2:], dtype=complex)
+    for i, terms in enumerate(products):
+        out[i : i + len(b)] += terms
+    return out
 
 
 def _add_centered(out, stack, op=np.add):
@@ -399,9 +382,11 @@ class ProblemSpec:
         d = _checked_harmonics(self.d, (n,), "d", 0, m)
         if self.real_mode:
             _check_real_symmetry(A0, B0, B, d)
+        H = max(map(abs, {**B, **d}), default=0)
+        if (2 * H + 1) * n * (n + 1) * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+            raise SchemaError(f"harmonic bound {H} is too large for numpy to index its coefficients")
         matrix = TrigPoly.from_coeffs({**B, 0: A0}, (n, n))
         forcing = TrigPoly.from_coeffs(d, (n,))
-        H = max(matrix.H, forcing.H)
         stack = np.concatenate([matrix.padded(H), forcing.padded(H)[..., None]], -1)
         built = dict(n=n, m=m, A0=A0, B0=B0, B=B, d=d, matrix=matrix, forcing=forcing)
         for name, value in built.items():

@@ -182,7 +182,7 @@ def test_criterion_5_growth_envelope(record_criterion):
         for n, m, s, seed in RECURSION_INSTANCES:
             prime, _ = normalize(_pinned(n, m, s, seed))
             cc = constants(prime)
-            report = check_growth(expand(prime, order=10), cc, p_max=10)
+            report = check_growth(expand(prime, order=10), cc)
             all_ok = all_ok and report.all_ok
             # Tightest geometric-budget margin across orders, for the record.
             budgets = np.array(

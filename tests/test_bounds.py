@@ -149,18 +149,6 @@ def test_growth_check_detects_violations():
     assert report.first_violation is not None
 
 
-def test_growth_check_validates_p_max():
-    prime, _ = normalize(fixtures.random_admissible(seed=1, n=3, m=1))
-    exp = expand(prime, order=3)
-    cc = constants(prime)
-    with pytest.raises(ValueError):
-        check_growth(exp, cc, p_max=4)
-    with pytest.raises(ValueError):
-        check_growth(exp, cc, p_max=-1)
-    short = check_growth(exp, cc, p_max=2)
-    assert short.p_max == 2 and len(short.theta_norms) == 3
-
-
 def test_growth_budget_past_the_float_range_holds():
     # (K (K L + 1))^p overflows from p = 113 for this fixture; the budget
     # is then inf and the bound holds, where a Python float power raises.

@@ -143,6 +143,35 @@ def test_entry_past_the_float_range_exits_one(tmp_path, capsys):
     _assert_input_error(capsys, ["analyze", str(path)], "A0[0][0]: entry too large")
 
 
+def test_m_past_the_float_range_exits_one(tmp_path, capsys):
+    # K = 2 m + 2 is a float, and omega0 = K (K L + 1) overflows first; the
+    # commands that never form them still run.
+    doc = json.loads((FIXTURES / "random_n3_m1.json").read_text())
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**doc, "m": 10**20}))
+    for command in ("analyze", "validate"):
+        assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    for m, message in (
+        (10**200, "the frequency threshold omega0 is not finite"),
+        (10**400, "the harmonic bound K = 2 m + 2 is past the floating-point range"),
+    ):
+        path.write_text(json.dumps({**doc, "m": m}))
+        for command in ("analyze", "validate"):
+            _assert_input_error(capsys, [command, str(path)], message)
+    for command in ("expand", "stability"):
+        assert main([command, str(path)]) == 0
+
+
+@pytest.mark.parametrize("key", [10**17, 10**19])
+def test_harmonic_past_the_largest_stack_exits_one(tmp_path, capsys, key):
+    doc = json.loads((FIXTURES / "random_n3_m1.json").read_text())
+    doc["m"], doc["B"] = key, {str(key): doc["B"]["1"], str(-key): doc["B"]["-1"]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    _assert_input_error(capsys, ["expand", str(path)], f"harmonic bound {key} is too large")
+
+
 @pytest.mark.parametrize("omega", ["1e-300", "1e308"])
 def test_evaluate_past_the_float_range_exits_one(capsys, omega):
     argv = ["evaluate", str(FIXTURES / "random_n3_m1.json"), "--omega", omega, "--samples", "2"]

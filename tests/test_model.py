@@ -207,6 +207,17 @@ def test_spec_takes_numpy_integer_harmonics():
     assert spec == ProblemSpec(n=1, m=1, A0=[[0.0]], B0=[[1.0]], B={1: [[1.0]]}, real_mode=False)
 
 
+@pytest.mark.parametrize("key", [10**17, 10**19])
+@pytest.mark.parametrize("where", ["B", "d"])
+def test_spec_rejects_a_harmonic_past_the_largest_stack(key, where):
+    # numpy cannot index the (2H + 1, n, n + 1) stack of [matrix | forcing]:
+    # at 1e17 its size, at 1e19 its length is past intp.
+    value = [[1.0, 0.0, 0.0]] * 3 if where == "B" else [1.0, 0.0, 0.0]
+    coeffs = {key: value, -key: value}
+    with pytest.raises(SchemaError, match=f"harmonic bound {key} is too large"):
+        ProblemSpec(n=3, m=key, A0=np.zeros((3, 3)), B0=np.eye(3), **{where: coeffs})
+
+
 # Signed zeros, subnormals and values near the ends of the float range,
 # next to whatever hypothesis draws.
 _ENTRIES = st.one_of(
@@ -674,11 +685,15 @@ def test_products_evaluate_pointwise_for_vectors_on_either_side(left, right):
 
 
 def test_products_are_the_per_harmonic_loop_to_the_bit():
-    # With the shorter operand on the left, a product forms the same
-    # per-harmonic terms as a loop over its harmonics and adds them in the
-    # loop's order, so rounding is the loop's: the stability series rest on it.
+    # A product forms the same per-harmonic terms as a loop over its
+    # harmonics and adds them in the loop's order, so rounding is the loop's:
+    # the stability series rest on it.  Any lengths: a longer left stack, a
+    # one-row right stack (the averaging transform's U_0 = I) and a one-row
+    # left stack (the matrix of a system with only forcing harmonics).
     rng = np.random.default_rng(34)
-    for n, H_a, H_b in ((3, 1, 1), (3, 1, 6), (5, 3, 9), (13, 3, 18), (24, 2, 12)):
+    for n, H_a, H_b in (
+        (3, 1, 1), (3, 1, 6), (5, 3, 9), (13, 3, 18), (24, 2, 12), (5, 6, 2), (4, 3, 0), (4, 0, 3),
+    ):
         left = _random_poly(rng, (n, n), harmonics=range(-H_a, H_a + 1))
         for shape in ((n,), (n, n)):
             right = _random_poly(rng, shape, harmonics=range(-H_b, H_b + 1))
