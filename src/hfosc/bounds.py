@@ -7,7 +7,7 @@ conclusions transfer back verbatim.  ``constants`` and ``check_growth``
 apply the scale to the stored problem's kernel data and expansion instead.
 ``constants`` packages the three numbers the error bound is built from:
 
-* K = 2 m + 2, an upper bound for harmonic counting,
+* K = 2 m + 2, m the largest harmonic held, a bound for harmonic counting,
 * L, a solvability constant: |x_p| <= L |theta_p| and the kernel
   coefficients satisfy sum_j |C_{p-1}^j| <= L |theta_p|,
 * omega0 = K (K L + 1), the frequency threshold beyond which the expansion
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonFiniteError, check_finite
+from .errors import check_finite
 from .model import ProblemSpec
 from .spectral import KernelData, compute_kernel_data
 
@@ -113,10 +113,7 @@ def constants(
     W_norm, A1_norm = map(float, _spectral_norms(kd.restricted_inverse, kd.averaged))
     L = max(scale * W_norm * (1.0 + A1_norm * s * inv_inf), s * inv_inf * scale * scale)
     check_finite("the solvability constant L", L)
-    try:
-        K = 2.0 * spec.m + 2.0
-    except OverflowError:
-        raise NonFiniteError("the harmonic bound K = 2 m + 2 is past the floating-point range") from None
+    K = 2.0 * spec.m + 2.0
     omega0 = K * (K * L + 1.0)
     check_finite("the frequency threshold omega0", omega0)
     return ConvergenceConstants(K=K, L=L, omega0=omega0, scale=scale)

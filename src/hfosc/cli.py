@@ -21,7 +21,7 @@ import numpy as np
 
 # Each command imports the rest of the package (expansion, bounds,
 # averaging, oracle) when it runs, so a process loads only what its command
-# uses; see ``oracle._period_pass``, which loads the integrator the same way.
+# uses; ``oracle`` loads the integrator, ``dop853``, the same way.
 from .errors import (
     BoundaryUndecidable,
     DegenerateError,
@@ -215,7 +215,8 @@ def _cmd_validate(spec, args):
     from .averaging import formal_average
     from .bounds import check_growth, constants
     from .expansion import expand, partial_sum, safe_norm
-    from .oracle import INTEGRATOR_TOL, periodic_solution
+    from .dop853 import INTEGRATOR_TOL
+    from .oracle import periodic_solution
 
     checks = []
 

@@ -277,6 +277,10 @@ MAX_FACTOR = 10.0
 # The controlled error is O(h^8): the order-7 estimator's exponent.
 _EXPONENT = -1.0 / 8.0
 
+# Accuracy per step, relative and absolute; a step is at most t1 / MIN_STEPS.
+INTEGRATOR_TOL = 1e-12
+MIN_STEPS = 16
+
 # Accepted steps after which a run gives up.  The benchmark's passes take at
 # most 44 and a slowly decaying scalar at omega = 1e-3 about 8,000; an omega
 # that needs more (18,000 at 3e-4, some 1e300 at 1e-300, the step bound by
@@ -360,12 +364,12 @@ class Trajectory:
         return DenseOutput(t=self.t, y=y, coeffs=coeffs)
 
 
-def _initial_step(field, y0, f0, t1, max_step, tol) -> float:
+def _initial_step(field, y0, f0, t1) -> float:
     """Hairer's starting step from t = 0: h0 from the sizes of y0 and y0',
     then a bound from the change of y' over h0, for an error of order 7.
     Sizes that overflow or are NaN give a small or zero step, which the step
     loop then raises to its floor or rejects."""
-    scale = tol * (1 + np.abs(y0))
+    scale = INTEGRATOR_TOL * (1 + np.abs(y0))
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if not 0 < h0 < math.inf:
@@ -374,13 +378,13 @@ def _initial_step(field, y0, f0, t1, max_step, tol) -> float:
     f1 = field.apply(h0, y0 + h0 * f0)
     d = max(d1, _rms((f1 - f0) / scale) / h0)
     h1 = (0.01 / d) ** (-_EXPONENT) if d > 1e-15 else max(1e-6, h0 * 1e-3)
-    return min(100 * h0, h1, t1, max_step)
+    return min(100 * h0, h1, t1 / MIN_STEPS)
 
 
-def solve(field: Sampler, t1: float, *, tol: float, max_step: float) -> Trajectory:
+def solve(field: Sampler, t1: float) -> Trajectory:
     """Integrate Y' = M(t) Y + f(t) e^T from Y(0) = [I | 0] to a finite
-    t1 > 0, each step within ``tol`` relative and absolute: the run ends at
-    [Phi(t1) | v(t1)].
+    t1 > 0, each step within INTEGRATOR_TOL relative and absolute and at
+    most t1 / MIN_STEPS long: the run ends at [Phi(t1) | v(t1)].
 
     ``field`` is the ``Sampler`` of [M | f], of shape (n, n + 1), in time:
     ``ProblemSpec.field_map(omega, omega)``.  The block takes the dtype of
@@ -389,7 +393,7 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float) -> Trajecto
     below 10 floating-point spacings at the current time, or when MAX_STEPS
     steps fall short of t1.
     """
-    n = field.shape[0]
+    n, max_step = field.shape[0], t1 / MIN_STEPS
     dtype = np.result_type(float, field.coeffs)
     Y = np.eye(n, n + 1, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,7 +423,7 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float) -> Trajecto
         ts, history = [0.0], []
         t = 0.0
         finite = bool(np.isfinite(Z[1]).all())
-        h = _initial_step(field, Y, Z[1], t1, max_step, tol)
+        h = _initial_step(field, Y, Z[1], t1)
         absY = np.abs(Y).reshape(-1)
         while t < t1:
             if len(ts) > MAX_STEPS:
@@ -456,7 +460,7 @@ def solve(field: Sampler, t1: float, *, tol: float, max_step: float) -> Trajecto
                 absX = np.abs(Xflat)
                 scale = np.maximum(absY, absX)
                 scale += 1.0
-                scale *= tol
+                scale *= INTEGRATOR_TOL
                 np.dot(_E, derivs, out=e)
                 e /= scale
                 err5, err3 = np.einsum("ij,ij->i", ev, ev).tolist()

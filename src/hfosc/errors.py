@@ -59,3 +59,9 @@ def check_finite(what: str, *values) -> None:
         raise NonFiniteError(
             f"{what} is not finite (floating-point overflow); rescale the problem"
         )
+
+
+def check_omega(omega) -> None:
+    """Raise ValueError unless the frequency omega is positive and finite."""
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_finite
+from .errors import check_finite, check_omega
 from .model import (
     ProblemSpec,
     TrigPoly,
@@ -238,9 +238,12 @@ def _summed(exp: AsymptoticExpansion, r: int, omega) -> TrigPoly:
     return TrigPoly._of(out)
 
 
-def _check_order(exp: AsymptoticExpansion, r: int) -> None:
+def _checked_omega(exp: AsymptoticExpansion, r: int, omega) -> np.float64:
+    """omega as a float64; ValueError unless r is an order of ``exp`` and omega > 0 is finite."""
     if not 0 <= r <= exp.order:
         raise ValueError(f"r must be in [0, {exp.order}], got {r}")
+    check_omega(omega)
+    return np.float64(omega)
 
 
 def partial_sum(exp: AsymptoticExpansion, r: int, omega, t) -> np.ndarray:
@@ -253,8 +256,7 @@ def partial_sum(exp: AsymptoticExpansion, r: int, omega, t) -> np.ndarray:
     its field.  Raises NonFiniteError when the sum overflows, as it does
     for omega near the ends of the floating-point range.
     """
-    _check_order(exp, r)
-    omega = np.float64(omega)
+    omega = _checked_omega(exp, r, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _summed(exp, r, omega).sampler(real=exp.real_mode)
         out = total(omega * np.asarray(t, dtype=float))
@@ -275,9 +277,8 @@ def ode_residual(spec: ProblemSpec, exp: AsymptoticExpansion, r: int, omega) -> 
     Scales like omega^{-r} when every matched order truly cancels.  The
     defect is sampled at 256 phases over one period.
     """
-    _check_order(exp, r)
+    omega = _checked_omega(exp, r, omega)
     taus = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
-    omega = np.float64(omega)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _summed(exp, r, omega)
         sum_of = total.sampler(real=exp.real_mode)

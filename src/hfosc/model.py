@@ -346,8 +346,9 @@ class ProblemSpec:
 
     ``B`` maps nonzero harmonic indices l (1 <= |l| <= m) to n x n matrices,
     ``d`` maps harmonic indices (0 allowed) to forcing vectors.  Exact-zero
-    coefficients are dropped on construction, so two specs describing the
-    same system have the same canonical document, which ``==`` compares.
+    coefficients are dropped and m is the largest |l| kept (a declared m
+    only bounds the keys), so two specs describing the same system have
+    the same canonical document, which ``==`` compares.
     The constructor also builds the system's two polynomials once:
     ``matrix`` is M(tau) = A0 + sum B_l e^{i l tau} and ``forcing`` is
     f(tau) = sum d_l e^{i l tau}, so B_osc is ``matrix.data`` with A0
@@ -388,7 +389,7 @@ class ProblemSpec:
         matrix = TrigPoly.from_coeffs({**B, 0: A0}, (n, n))
         forcing = TrigPoly.from_coeffs(d, (n,))
         stack = np.concatenate([matrix.padded(H), forcing.padded(H)[..., None]], -1)
-        built = dict(n=n, m=m, A0=A0, B0=B0, B=B, d=d, matrix=matrix, forcing=forcing)
+        built = dict(n=n, m=H, A0=A0, B0=B0, B=B, d=d, matrix=matrix, forcing=forcing)
         for name, value in built.items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_stack", TrigPoly._of(stack))

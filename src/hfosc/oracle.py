@@ -38,11 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundaryUndecidable, NonFiniteError, NonUniqueError
+from .errors import BoundaryUndecidable, NonFiniteError, NonUniqueError, check_omega
 from .model import ProblemSpec
-
-# Integrator accuracy per step, relative and absolute.
-INTEGRATOR_TOL = 1e-12
 
 # The two tests below are on rates, margins over the period T: I - Phi is
 # about T times the averaged generator, so an absolute margin would flip
@@ -73,8 +70,7 @@ _DEFECT_BLOCK = 64
 def period(omega) -> float:
     """T = 2 pi / omega.  Raises ValueError unless omega is positive and
     finite, and NonFiniteError when T overflows (omega below about 1e-308)."""
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+    check_omega(omega)
     T = 2 * np.pi / float(omega)
     if T == np.inf:
         raise NonFiniteError(f"the period 2 pi / omega at omega={omega:g} is not finite")
@@ -83,20 +79,11 @@ def period(omega) -> float:
 
 def monodromy(spec: ProblemSpec, omega) -> np.ndarray:
     """Period map Phi(T), T = 2 pi / omega, from the matrix equation."""
-    T = period(omega)
-    return _period_pass(spec.field_map(omega, omega), T).y[:, : spec.n]
-
-
-def _period_pass(field, T):
-    """One pass over the period T from the block [I | 0], whose last column
-    alone picks up the forcing: it ends at [Phi | v], the period map beside
-    the forced response from zero, and keeps the step history that
-    ``Trajectory.along`` reads."""
-    # Imported here: commands that never integrate skip the integrator's
-    # module and its tableau.
+    # Imported here: commands that never integrate skip the integrator.
     from .dop853 import solve
 
-    return solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16)
+    T = period(omega)
+    return solve(spec.field_map(omega, omega), T).y[:, : spec.n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +147,11 @@ def periodic_solution(spec: ProblemSpec, omega) -> PeriodicOracleSolution:
     working precision: sigma_min(I - Phi) <= max(UNIQUENESS_TOL * T,
     ROUNDING_FLOOR).
     """
+    from .dop853 import solve
+
     T = period(omega)
     field = spec.field_map(omega, omega)
-    traj = _period_pass(field, T)
+    traj = solve(field, T)
     Phi, forced = traj.y[:, :-1], traj.y[:, -1]
     gap = np.eye(spec.n) - Phi
     unique_margin = float(np.linalg.svd(gap, compute_uv=False)[-1])

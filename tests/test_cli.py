@@ -143,24 +143,25 @@ def test_entry_past_the_float_range_exits_one(tmp_path, capsys):
     _assert_input_error(capsys, ["analyze", str(path)], "A0[0][0]: entry too large")
 
 
-def test_m_past_the_float_range_exits_one(tmp_path, capsys):
-    # K = 2 m + 2 is a float, and omega0 = K (K L + 1) overflows first; the
-    # commands that never form them still run.
-    doc = json.loads((FIXTURES / "random_n3_m1.json").read_text())
+def test_m_past_the_float_range_reports_the_tight_problem(tmp_path, capsys):
+    # m is the largest harmonic the coefficients hold: a declared m past the
+    # float range only bounds the keys, so K = 2 m + 2 and omega0 are those
+    # of the m = 1 document, and so is every report.
+    tight = FIXTURES / "random_n3_m1.json"
+    doc = json.loads(tight.read_text())
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({**doc, "m": 10**20}))
-    for command in ("analyze", "validate"):
-        assert main([command, str(path)]) == 0
-    capsys.readouterr()
-    for m, message in (
-        (10**200, "the frequency threshold omega0 is not finite"),
-        (10**400, "the harmonic bound K = 2 m + 2 is past the floating-point range"),
-    ):
+    want = {}
+    for command in ("analyze", "validate", "expand", "stability"):
+        assert main([command, str(tight), "--format", "json"]) == 0
+        want[command] = capsys.readouterr()
+    assert json.loads(want["analyze"].out)["K"] == 4.0
+    for m in (10**20, 10**200, 10**400):
         path.write_text(json.dumps({**doc, "m": m}))
-        for command in ("analyze", "validate"):
-            _assert_input_error(capsys, [command, str(path)], message)
-    for command in ("expand", "stability"):
-        assert main([command, str(path)]) == 0
+        for command, report in want.items():
+            assert main([command, str(path), "--format", "json"]) == 0, (m, command)
+            assert capsys.readouterr() == report, (m, command)
+        assert main(["analyze", str(path)]) == 0
+        assert "K=4 L=" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", [10**17, 10**19])

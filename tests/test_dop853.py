@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from hfosc import dop853, fixtures
 from hfosc.errors import StepFailure
 from hfosc.model import Sampler, TrigPoly
-from hfosc.oracle import INTEGRATOR_TOL, monodromy, periodic_solution
+from hfosc.oracle import monodromy, periodic_solution
 
 
 def _constant(F):
@@ -77,8 +77,8 @@ def _rhs(spec, omega):
 def _reference(spec, omega, y0, T, dense=False):
     return solve_ivp(
         _rhs(spec, omega), (0.0, T), np.asarray(y0, dtype=complex).reshape(-1),
-        method="DOP853", rtol=INTEGRATOR_TOL, atol=INTEGRATOR_TOL,
-        max_step=T / 16, dense_output=dense,
+        method="DOP853", rtol=dop853.INTEGRATOR_TOL, atol=dop853.INTEGRATOR_TOL,
+        max_step=T / dop853.MIN_STEPS, dense_output=dense,
     )
 
 
@@ -106,7 +106,7 @@ def test_steps_follow_scipy_step_sequence():
     spec = fixtures.random_admissible(seed=1, n=6, m=2)
     omega = 80.0
     T = 2 * np.pi / omega
-    traj = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16)
+    traj = dop853.solve(spec.field_map(omega, omega), T)
     ref = _reference(spec, omega, np.eye(6, 7), T)
     assert traj.t.shape == ref.t.shape
     assert np.allclose(traj.t, ref.t, rtol=1e-8, atol=0)
@@ -118,7 +118,7 @@ def test_one_field_call_per_attempted_step():
     omega = 50.0
     T = 2 * np.pi / omega
     field = _Counting(**vars(spec.field_map(omega, omega)))
-    traj = dop853.solve(field, T, tol=INTEGRATOR_TOL, max_step=T / 16)
+    traj = dop853.solve(field, T)
     # The right side at t = 0 and at the trial point of the first step, then
     # one field grid per attempted step on its 12 stage times, and nothing
     # more: the run forms no grid for its dense output.
@@ -136,7 +136,7 @@ def test_non_finite_field_stalls_with_step_failure():
     # NaN from t = 0.5 on: every step across it is rejected down to the floor.
     field = _NanFrom(**vars(_constant([[-1.0, 0.0]])), start=0.5)
     with pytest.raises(StepFailure, match="integration stalled at t=0.5") as info:
-        dop853.solve(field, 1.0, tol=1e-12, max_step=0.1)
+        dop853.solve(field, 1.0)
     assert "non-finite" in str(info.value)
     assert 0.49 < info.value.t < 0.5
 
@@ -144,10 +144,10 @@ def test_non_finite_field_stalls_with_step_failure():
 def test_a_run_stops_after_max_steps(monkeypatch):
     # One step short of the steps the run needs: it stops where they end.
     field = _constant([[-1.0, 1.0]])
-    t = dop853.solve(field, 1.0, tol=1e-12, max_step=0.1).t
+    t = dop853.solve(field, 1.0).t
     monkeypatch.setattr(dop853, "MAX_STEPS", len(t) - 2)
     with pytest.raises(StepFailure, match=f"{len(t) - 2} steps fell short of t=1") as info:
-        dop853.solve(field, 1.0, tol=1e-12, max_step=0.1)
+        dop853.solve(field, 1.0)
     assert info.value.t == t[-2]
 
 
@@ -157,7 +157,7 @@ def test_block_contracted_with_z_is_the_trajectory_from_its_start():
     omega = 60.0
     T = 2 * np.pi / omega
     x0 = np.linspace(-1.0, 1.0, 4)
-    block = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16)
+    block = dop853.solve(spec.field_map(omega, omega), T)
     t = np.linspace(0.0, T, 50)
     along = block.along(np.append(x0, 1.0))
     assert along(t).dtype == np.float64

@@ -317,6 +317,18 @@ def test_partial_sum_past_the_float_range_raises_non_finite(omega):
             partial_sum(exp, 2, omega, np.linspace(0.0, 1.0, 3))
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_frequency_not_positive_and_finite_is_refused(omega):
+    # The check of oracle.period, before any arithmetic: no warning, no
+    # NonFiniteError that blames the problem's size, no numbers.
+    spec = fixtures.random_admissible(seed=2, n=3, m=1)
+    exp = expand(spec, order=1)
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        partial_sum(exp, 1, omega, np.linspace(0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        ode_residual(spec, exp, 1, omega)
+
+
 def test_overflow_raises_a_typed_error_without_warnings():
     spec = fixtures.random_admissible(seed=0, n=3, m=1)
 

@@ -411,6 +411,28 @@ def test_zero_coefficients_are_dropped():
     assert spec == ProblemSpec(n=1, m=1, A0=[[0.0]], B0=[[1.0]])
 
 
+@pytest.mark.parametrize("declared", [1, 3, 10**20])
+def test_m_is_the_largest_harmonic_held(declared):
+    # A declared m bounds the keys; the spec keeps the largest harmonic of
+    # the coefficients it holds, as it keeps only nonzero ones, so a wider
+    # declaration is the same spec and serializes with the tight m.
+    doc = _base_doc()
+    tight = parse_problem(doc)
+    wide = parse_problem({**doc, "m": declared})
+    assert tight.m == wide.m == 1
+    assert wide == tight and serialize_problem(wide) == serialize_problem(tight)
+    # Forcing harmonics count as well as the matrix's.
+    forced = ProblemSpec(n=2, m=declared + 1, A0=tight.A0, B0=tight.B0, B=tight.B,
+                         d={2: [1.0, 0.0], -2: [1.0, 0.0], 0: [1.0, 0.0]})
+    assert forced.m == 2 and serialize_problem(forced)["m"] == 2
+    # No harmonics at all: m = 0.
+    bare = ProblemSpec(n=2, m=declared, A0=tight.A0, B0=tight.B0, d={0: [1.0, 0.0]})
+    assert bare.m == 0 and serialize_problem(bare)["m"] == 0
+    assert bare == ProblemSpec(n=2, m=0, A0=tight.A0, B0=tight.B0, d={0: [1.0, 0.0]})
+    with pytest.raises(SchemaError, match=r"outside 1 <= \|l\| <= 1"):
+        parse_problem({**doc, "m": 1, "B": {**doc["B"], "2": doc["B"]["1"]}})
+
+
 def test_spec_arrays_are_read_only():
     spec = fixtures.borderline_stable()
     with pytest.raises(ValueError):

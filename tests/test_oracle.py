@@ -11,7 +11,6 @@ from hfosc.errors import BoundaryUndecidable, NonFiniteError, NonUniqueError
 from hfosc.expansion import expand
 from hfosc.model import ProblemSpec
 from hfosc.oracle import (
-    INTEGRATOR_TOL,
     error_slope,
     floquet_verdict,
     monodromy,
@@ -117,7 +116,7 @@ def test_integrate_matches_variation_of_constants():
     T = 2 * np.pi / omega
     M = spec.A0 + spec.B0 / omega
     E = expm(M * T)
-    got = dop853.solve(spec.field_map(omega, omega), T, tol=INTEGRATOR_TOL, max_step=T / 16).y
+    got = dop853.solve(spec.field_map(omega, omega), T).y
     assert np.max(np.abs(got[:, :3] - E)) < 1e-14
     forced = np.linalg.solve(M, (E - np.eye(3)) @ spec.forcing.mean())
     assert np.max(np.abs(got[:, 3] - forced)) < 1e-14 * np.max(np.abs(forced))
